@@ -7,44 +7,18 @@ arithmetic throughout; an exhaustive oracle and two independent
 certificate routes keep every claim checkable at desk scale.
 """
 
-from .certificates import (CardinalityCertificate, DualAccumulation, Verdict,
-                           Violation, accumulate_duals,
-                           check_cardinality_certificate,
-                           check_cut_feasibility, transform_duals, verify_run)
-from .cli import ScenarioReport, compare_dual_policies, figure2_instance
-from .engine import (AlphaResult, AlternatingWalk, BlossomDual, DualState,
-                     EngineState, ForestLabels, InfeasibleUpdateError,
-                     RunResult, ScriptedPolicy, ShrunkenView, Snapshot,
-                     STATUS_NO_PERFECT, STATUS_PERFECT, UNIFORM,
-                     UniformPolicy, apply_dual_update, compute_alpha,
+from .certificates import verify_run
+from .engine import (EngineState, apply_dual_update, compute_alpha,
                      lift_matching, shrink_blossom, solve)
-from .graph import (Edge, Instance, Matching, NormalizationRecord,
-                    ParseError, SymmetricDifference,
-                    alternating_path_difference, format_instance,
-                    format_matching, matching_weight, normalize_weights,
-                    parse_instance, parse_matching)
-from .oracle import (CardinalityRecord, OracleTable, matching_number,
-                     min_weight_by_cardinality)
-from .reductions import (AuxiliaryCompletion, CompletionRefusedError,
-                         build_auxiliary_completion, build_doubled_graph,
-                         check_perfect_certificate)
+from .graph import Instance, normalize_weights
+from .oracle import min_weight_by_cardinality
 
 __version__ = "0.1.0"
 
+# Exactly the names the README's Library section documents; everything
+# else is imported from its submodule.
 __all__ = [
-    "AlphaResult", "AlternatingWalk", "AuxiliaryCompletion", "BlossomDual",
-    "CardinalityCertificate", "CardinalityRecord", "CompletionRefusedError",
-    "DualAccumulation", "DualState", "Edge", "EngineState", "ForestLabels",
-    "InfeasibleUpdateError", "Instance", "Matching", "NormalizationRecord",
-    "OracleTable", "ParseError", "RunResult", "ScenarioReport",
-    "ScriptedPolicy", "ShrunkenView", "Snapshot", "STATUS_NO_PERFECT",
-    "STATUS_PERFECT", "SymmetricDifference", "UNIFORM", "UniformPolicy",
-    "Verdict", "Violation", "accumulate_duals", "alternating_path_difference",
-    "apply_dual_update", "build_auxiliary_completion", "build_doubled_graph",
-    "check_cardinality_certificate", "check_cut_feasibility",
-    "check_perfect_certificate", "compare_dual_policies", "compute_alpha",
-    "figure2_instance", "format_instance", "format_matching", "lift_matching",
-    "matching_number", "matching_weight", "min_weight_by_cardinality",
-    "normalize_weights", "parse_instance", "parse_matching", "shrink_blossom",
-    "solve", "transform_duals", "verify_run",
+    "EngineState", "Instance", "apply_dual_update", "compute_alpha",
+    "lift_matching", "min_weight_by_cardinality", "normalize_weights",
+    "shrink_blossom", "solve", "verify_run",
 ]

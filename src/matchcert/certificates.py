@@ -25,28 +25,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .engine import DualState, RunResult
+from .engine import DualState, RunResult, accumulated_pi
 from .graph import (Instance, Matching, alternating_path_difference,
                     matching_weight)
 
 ZERO = Fraction(0)
-
-
-@dataclass(frozen=True)
-class DualAccumulation:
-    """Per-node accumulated dual values and their maximum."""
-
-    pi_star: tuple[Fraction, ...]
-    pi_star_max: Fraction
-
-
-def accumulate_duals(dual: DualState) -> DualAccumulation:
-    """Sum, for every node, the duals of all sets containing it."""
-    acc = list(dual.singleton_pi)
-    for b in dual.blossoms:
-        for v in b.nodes:
-            acc[v] += b.pi
-    return DualAccumulation(tuple(acc), max(acc))
 
 
 @dataclass(frozen=True)
@@ -77,11 +60,11 @@ def transform_duals(dual: DualState, k: int) -> CardinalityCertificate:
     z_U = -2 pi(U) on every blossom of the family. y <= 0 and z <= 0 hold
     by construction (blossom duals are nonnegative).
     """
-    acc = accumulate_duals(dual)
-    gamma = 2 * acc.pi_star_max
-    y = tuple(p - acc.pi_star_max for p in acc.pi_star)
+    pi_star = accumulated_pi(dual.singleton_pi, dual.blossoms)
+    pi_star_max = max(pi_star)
+    y = tuple(p - pi_star_max for p in pi_star)
     z = tuple((b.nodes, -2 * b.pi) for b in dual.blossoms)
-    return CardinalityCertificate(gamma, y, z, k)
+    return CardinalityCertificate(2 * pi_star_max, y, z, k)
 
 
 @dataclass(frozen=True)

@@ -133,14 +133,9 @@ def _parse_amounts_option(text: str) -> tuple[Fraction, ...]:
     return tuple(Fraction(tok) for tok in text.replace(",", " ").split())
 
 
-def _normalized_for_solve(inst: Instance) -> tuple[Instance, Fraction]:
-    normalized, record = normalize_weights(inst)
-    return normalized, record.shift
-
-
 def _cmd_solve(args: argparse.Namespace) -> int:
     inst = _read_instance(args.file)
-    normalized, shift = _normalized_for_solve(inst)
+    normalized, record = normalize_weights(inst)
 
     if args.policy == "uniform":
         policy = UNIFORM
@@ -152,8 +147,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
     run = solve(normalized, mode=args.mode, policy=policy, beta=Fraction(args.beta))
     payload = jsonio.run_result_to_dict(run)
-    if shift != 0:
-        payload["normalization"] = {"shift": jsonio.rational_to_str(shift)}
+    if record.shift != 0:
+        payload["normalization"] = {"shift": jsonio.rational_to_str(record.shift)}
 
     exit_code = EXIT_OK
     if args.verify:
@@ -199,14 +194,22 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def _load_run(path: str, inst: Instance) -> tuple[RunResult, Instance]:
-    """Load a snapshots file and renormalize the instance to match it."""
+    """Load a snapshots file, check it was made for this instance, and
+    renormalize the instance to match it."""
     import json
 
     with open(path, "r", encoding="utf-8") as handle:
         data = json.load(handle)
     run = jsonio.run_result_from_dict(data)
-    recorded = data.get("normalization", {}).get("shift")
-    if recorded is not None:
+    for snap in run.snapshots:
+        if len(snap.dual_state.singleton_pi) != inst.node_count:
+            raise ValueError(
+                f"snapshot k={snap.cardinality} has duals for "
+                f"{len(snap.dual_state.singleton_pi)} nodes, but the instance "
+                f"has {inst.node_count}")
+    normalization = jsonio.field(data, "normalization", dict, {})
+    if normalization:
+        recorded = jsonio.field(normalization, "shift", str)
         normalized, record = normalize_weights(inst)
         if jsonio.str_to_rational(recorded) != record.shift:
             raise ValueError(

@@ -92,14 +92,6 @@ class DualState:
     blossoms: tuple[BlossomDual, ...]
     beta: Fraction = ZERO
 
-    def pi_star(self, v: int) -> Fraction:
-        """Accumulated dual value of node v over all sets containing it."""
-        total = self.singleton_pi[v]
-        for b in self.blossoms:
-            if v in b.nodes:
-                total += b.pi
-        return total
-
     def edge_load(self, u: int, v: int) -> Fraction:
         """Sum of duals over all sets containing exactly one of u, v."""
         total = self.singleton_pi[u] + self.singleton_pi[v]
@@ -107,6 +99,16 @@ class DualState:
             if (u in b.nodes) != (v in b.nodes):
                 total += b.pi
         return total
+
+
+def accumulated_pi(base: Iterable[Fraction], sets: Iterable) -> list[Fraction]:
+    """Accumulated dual pi*(v) of every node: its base value plus the pi of
+    each given set (anything with `nodes` and `pi`) that contains it."""
+    acc = list(base)
+    for s in sets:
+        for v in s.nodes:
+            acc[v] += s.pi
+    return acc
 
 
 @dataclass(frozen=True)
@@ -204,9 +206,6 @@ class ForestLabels:
     root: dict[int, int]
     roots: tuple[int, ...]
 
-    def trees(self) -> tuple[int, ...]:
-        return self.roots
-
 
 @dataclass(frozen=True)
 class AlternatingWalk:
@@ -256,31 +255,33 @@ class _Blossom:
         raise ValueError(f"node {node} not inside blossom {sorted(self.nodes)}")
 
     def descendants(self) -> Iterator["_Blossom"]:
-        yield self
-        for c in self.cycle:
-            if isinstance(c, _Blossom):
-                yield from c.descendants()
+        """This record and every nested one, parents before children."""
+        stack = [self]
+        while stack:
+            rec = stack.pop()
+            yield rec
+            stack.extend(c for c in reversed(rec.cycle) if isinstance(c, _Blossom))
 
 
 def _completion(rec: _Blossom, entry: int | None) -> set[Pair]:
     """Interior near-perfect matching of a blossom, leaving only the
     constituent holding `entry` (the base when entry is None) uncovered
-    at the top level, recursively."""
-    size = len(rec.cycle)
-    half = (size - 1) // 2
-    j = 0 if entry is None else rec.constituent_index(entry)
+    at the top level, and likewise inside every nested blossom."""
     out: set[Pair] = set()
-    for t in range(half):
-        i = (j + 1 + 2 * t) % size
-        pair = rec.cycle_edges[i]
-        out.add(pair)
-        for c in (rec.cycle[i], rec.cycle[(i + 1) % size]):
-            if isinstance(c, _Blossom):
-                inner_entry = pair[0] if pair[0] in c.nodes else pair[1]
-                out |= _completion(c, inner_entry)
-    base = rec.cycle[j]
-    if isinstance(base, _Blossom):
-        out |= _completion(base, entry)
+    pending = [(rec, entry)]
+    while pending:
+        rec, entry = pending.pop()
+        size = len(rec.cycle)
+        j = 0 if entry is None else rec.constituent_index(entry)
+        for t in range((size - 1) // 2):
+            i = (j + 1 + 2 * t) % size
+            pair = rec.cycle_edges[i]
+            out.add(pair)
+            for c in (rec.cycle[i], rec.cycle[(i + 1) % size]):
+                if isinstance(c, _Blossom):
+                    pending.append((c, pair[0] if pair[0] in c.nodes else pair[1]))
+        if isinstance(rec.cycle[j], _Blossom):
+            pending.append((rec.cycle[j], entry))
     return out
 
 
@@ -330,19 +331,10 @@ class EngineState:
 
     # -- dual arithmetic ----------------------------------------------------
 
-    def pi_star_all(self) -> list[Fraction]:
-        """Accumulated dual value per original node."""
-        acc = list(self.pi_node)
+    def _records(self) -> Iterator[_Blossom]:
+        """Every blossom record, nested ones included."""
         for top in self.blossoms:
-            for rec in top.descendants():
-                for v in rec.nodes:
-                    acc[v] += rec.pi
-        return acc
-
-    def slack(self, edge_index: int) -> Fraction:
-        """w_e minus the sum of duals over sets cut by edge e."""
-        e = self.inst.edges[edge_index]
-        return e.weight - self.frozen_duals().edge_load(e.u, e.v)
+            yield from top.descendants()
 
     # -- structure ----------------------------------------------------------
 
@@ -373,7 +365,7 @@ class EngineState:
             for v in rec.nodes:
                 if v != key:
                     del members[v]
-        pi_star = self.pi_star_all()
+        pi_star = accumulated_pi(self.pi_node, self._records())
         tight = []
         for i, e in enumerate(self.inst.edges):
             ku, kv = top[e.u], top[e.v]
@@ -521,7 +513,7 @@ class EngineState:
     # -- snapshots ------------------------------------------------------------
 
     def frozen_duals(self) -> DualState:
-        records = [rec for top in self.blossoms for rec in top.descendants()]
+        records = list(self._records())
         records.sort(key=lambda r: (min(r.nodes), len(r.nodes)))
         return DualState(
             tuple(self.pi_node),
@@ -614,7 +606,7 @@ def compute_alpha(state: EngineState) -> AlphaResult:
     """
     labels = state._require_clean_forest()
     top = state.top_map()
-    pi_star = state.pi_star_all()
+    pi_star = accumulated_pi(state.pi_node, state._records())
 
     best: Fraction | None = None
     binding: tuple | None = None
@@ -681,7 +673,7 @@ def apply_dual_update(state: EngineState,
 
     # Validate the edge constraints. Only edges whose load grows can break.
     top = state.top_map()
-    pi_star = state.pi_star_all()
+    pi_star = accumulated_pi(state.pi_node, state._records())
     for i, e in enumerate(state.inst.edges):
         ku, kv = top[e.u], top[e.v]
         if ku == kv:

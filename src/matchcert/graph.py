@@ -170,14 +170,6 @@ class Matching:
     def covers(self, v: int) -> bool:
         return v in self.covered
 
-    def mate(self, v: int) -> int | None:
-        for u, w in self.edges:
-            if u == v:
-                return w
-            if w == v:
-                return u
-        return None
-
     def count_inside(self, nodes: Iterable[int]) -> int:
         """Number of matching edges with both endpoints in the node set."""
         inside = set(nodes)

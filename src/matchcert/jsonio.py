@@ -3,6 +3,8 @@
 Conventions: node ids are 1-based in JSON, rationals serialize as strings
 ("7/2", or "3" when integral), and all collections are emitted in a fixed
 deterministic order so identical inputs produce byte-identical output.
+Readers check every key and type they use and raise ValueError on a
+malformed file.
 """
 
 from __future__ import annotations
@@ -22,15 +24,45 @@ def rational_to_str(value: Fraction) -> str:
 
 
 def str_to_rational(text: str) -> Fraction:
-    return Fraction(text)
+    if type(text) is not str:
+        raise ValueError(f"expected a rational as a string, got {text!r}")
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}")
+
+
+def field(data: Any, key: str, kind: type, default: Any = None) -> Any:
+    """data[key], which must be a `kind`; `default` when the key is absent,
+    or a ValueError when it is absent and there is no default."""
+    if not isinstance(data, dict):
+        raise ValueError(f"snapshots file: expected an object with key {key!r}")
+    if key not in data:
+        if default is None:
+            raise ValueError(f"snapshots file: missing key {key!r}")
+        return default
+    value = data[key]
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ValueError(f"snapshots file: {key!r} must be of type {kind.__name__}")
+    return value
+
+
+def _node_ids(ids: Any, n: int) -> list[int]:
+    """1-based node ids from JSON, checked to lie in 1..n, made 0-based."""
+    if type(ids) is not list or not all(type(v) is int and 0 < v <= n for v in ids):
+        raise ValueError(f"snapshots file: {ids!r} is not a list of node ids in 1..{n}")
+    return [v - 1 for v in ids]
 
 
 def _matching_to_json(m: Matching) -> list[list[int]]:
     return [[u + 1, v + 1] for u, v in m.sorted_edges()]
 
 
-def _matching_from_json(pairs: list[list[int]]) -> Matching:
-    return Matching.from_pairs([(u - 1, v - 1) for u, v in pairs])
+def _matching_from_json(pairs: list[Any], n: int) -> Matching:
+    if not all(type(pair) is list and len(pair) == 2 for pair in pairs):
+        raise ValueError("snapshots file: every matching edge must be two node ids")
+    ends = _node_ids([v for pair in pairs for v in pair], n)
+    return Matching.from_pairs(zip(ends[::2], ends[1::2]))
 
 
 def _duals_to_json(dual: DualState) -> dict[str, Any]:
@@ -44,15 +76,18 @@ def _duals_to_json(dual: DualState) -> dict[str, Any]:
     }
 
 
-def _duals_from_json(data: dict[str, Any]) -> DualState:
-    singles = data["singletons"]
+def _duals_from_json(data: Any) -> DualState:
+    singles = field(data, "singletons", dict)
     n = len(singles)
-    pi = tuple(str_to_rational(singles[str(v + 1)]) for v in range(n))
+    try:
+        pi = tuple(str_to_rational(singles[str(v + 1)]) for v in range(n))
+    except KeyError as exc:
+        raise ValueError(f"snapshots file: no singleton dual for node {exc}")
     blossoms = tuple(
-        BlossomDual(frozenset(v - 1 for v in item["nodes"]),
-                    str_to_rational(item["pi"]))
-        for item in data.get("blossoms", ()))
-    beta = str_to_rational(data.get("beta", "0"))
+        BlossomDual(frozenset(_node_ids(field(item, "nodes", list), n)),
+                    str_to_rational(field(item, "pi", str)))
+        for item in field(data, "blossoms", list, []))
+    beta = str_to_rational(field(data, "beta", str, "0"))
     return DualState(pi, blossoms, beta)
 
 
@@ -77,12 +112,14 @@ def snapshot_to_dict(snap: Snapshot) -> dict[str, Any]:
     }
 
 
-def snapshot_from_dict(data: dict[str, Any]) -> Snapshot:
+def snapshot_from_dict(data: Any) -> Snapshot:
+    dual_state = _duals_from_json(field(data, "duals", dict))
+    n = len(dual_state.singleton_pi)
     return Snapshot(
-        cardinality=data["k"],
-        matching=_matching_from_json(data["matching"]),
-        dual_state=_duals_from_json(data["duals"]),
-        weight=str_to_rational(data["weight"]),
+        cardinality=field(data, "k", int),
+        matching=_matching_from_json(field(data, "matching", list), n),
+        dual_state=dual_state,
+        weight=str_to_rational(field(data, "weight", str)),
     )
 
 
@@ -95,12 +132,12 @@ def run_result_to_dict(run: RunResult) -> dict[str, Any]:
     }
 
 
-def run_result_from_dict(data: dict[str, Any]) -> RunResult:
+def run_result_from_dict(data: Any) -> RunResult:
     return RunResult(
-        snapshots=tuple(snapshot_from_dict(s) for s in data["snapshots"]),
-        status=data["status"],
-        mode=data.get("mode", "maximum"),
-        beta=str_to_rational(data.get("beta", "0")),
+        snapshots=tuple(snapshot_from_dict(s) for s in field(data, "snapshots", list)),
+        status=field(data, "status", str),
+        mode=field(data, "mode", str, "maximum"),
+        beta=str_to_rational(field(data, "beta", str, "0")),
     )
 
 
@@ -123,13 +160,19 @@ def _jsonable_value(value: Any) -> Any:
     return str(value)
 
 
-def _jsonable_witness(witness: Any) -> Any:
-    if witness is None or isinstance(witness, (int, str)):
-        return witness + 1 if isinstance(witness, int) else witness
+def _jsonable_witness(constraint: str, witness: Any) -> Any:
+    """Witness in JSON ids: node ids and node sets 1-based, node sequences
+    (edges, path components) as nested lists, snapshot positions as is."""
+    if constraint.startswith("snapshot-cardinality-sequence"):
+        return witness  # a position in the snapshots array, not a node id
+    if witness is None or isinstance(witness, str):
+        return witness
+    if isinstance(witness, int):
+        return witness + 1
     if isinstance(witness, (frozenset, set)):
         return [v + 1 for v in sorted(witness)]
-    if isinstance(witness, tuple) and all(isinstance(x, int) for x in witness):
-        return [x + 1 for x in witness]
+    if isinstance(witness, tuple):
+        return [_jsonable_witness(constraint, x) for x in witness]
     return str(witness)
 
 
@@ -138,7 +181,7 @@ def verdict_to_dict(verdict: Verdict) -> dict[str, Any]:
         "pass": verdict.passed,
         "violations": [
             {"constraint": viol.constraint,
-             "witness": _jsonable_witness(viol.witness),
+             "witness": _jsonable_witness(viol.constraint, viol.witness),
              "lhs": _jsonable_value(viol.lhs),
              "rhs": _jsonable_value(viol.rhs)}
             for viol in verdict.violations],

@@ -112,8 +112,3 @@ def min_weight_by_cardinality(inst: Instance,
     for rec in table.by_cardinality:
         assert matching_weight(inst, rec.witness) == rec.min_weight
     return table
-
-
-def matching_number(inst: Instance, limit: int = DEFAULT_NODE_LIMIT) -> int:
-    """The maximum cardinality of a matching, by the same enumeration."""
-    return min_weight_by_cardinality(inst, limit).nu

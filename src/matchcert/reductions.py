@@ -18,13 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .certificates import Verdict, Violation, accumulate_duals
-from .engine import DualState, Snapshot
+from .certificates import Verdict, Violation, check_cut_feasibility
+from .engine import DualState, Snapshot, accumulated_pi
 from .graph import Edge, Instance, Matching
 
 ZERO = Fraction(0)
-
-PerfectVerdict = Verdict
 
 
 class CompletionRefusedError(ValueError):
@@ -68,11 +66,13 @@ def build_auxiliary_completion(inst: Instance, snapshot: Snapshot) -> AuxiliaryC
     maximum accumulated dual (true for uniform-policy runs); otherwise
     raises CompletionRefusedError with the witness node.
     """
-    acc = accumulate_duals(snapshot.dual_state)
+    pi_star = accumulated_pi(snapshot.dual_state.singleton_pi,
+                             snapshot.dual_state.blossoms)
+    pi_star_max = max(pi_star)
     exposed = snapshot.matching.exposed(inst)
     for v in exposed:
-        if acc.pi_star[v] != acc.pi_star_max:
-            raise CompletionRefusedError(v, acc.pi_star[v], acc.pi_star_max)
+        if pi_star[v] != pi_star_max:
+            raise CompletionRefusedError(v, pi_star[v], pi_star_max)
 
     n = inst.node_count
     k = len(exposed)
@@ -92,20 +92,20 @@ def build_auxiliary_completion(inst: Instance, snapshot: Snapshot) -> AuxiliaryC
     extended = Matching(frozenset(pairs))
 
     duals = DualState(
-        snapshot.dual_state.singleton_pi + (-acc.pi_star_max,) * k,
+        snapshot.dual_state.singleton_pi + (-pi_star_max,) * k,
         snapshot.dual_state.blossoms,
         snapshot.dual_state.beta)
     return AuxiliaryCompletion(aux, extended, duals, n, exposed)
 
 
-def check_perfect_certificate(comp: AuxiliaryCompletion) -> PerfectVerdict:
+def check_perfect_certificate(comp: AuxiliaryCompletion) -> Verdict:
     """Check that the completion's duals certify its perfect matching.
 
-    Exact checks: the matching is perfect; blossom duals are nonnegative;
-    no edge's dual load exceeds its weight; every matched edge is tight;
-    and every blossom with positive dual is left by exactly one matching
-    edge. A pass certifies the extended matching is a minimum-weight
-    perfect matching of the extended graph.
+    Exact checks: the matching is perfect; the cut-form dual constraints
+    hold (check_cut_feasibility); every matched edge is tight; and every
+    blossom with positive dual is left by exactly one matching edge. A
+    pass certifies the extended matching is a minimum-weight perfect
+    matching of the extended graph.
     """
     inst = comp.aux_instance
     m = comp.extended_matching
@@ -115,18 +115,14 @@ def check_perfect_certificate(comp: AuxiliaryCompletion) -> PerfectVerdict:
             f"extended matching covers {2 * len(m)} of {inst.node_count} nodes; "
             "a perfect matching is required")
 
-    violations: list[Violation] = []
-    for b in dual.blossoms:
-        if b.pi < 0:
-            violations.append(Violation("blossom-nonneg", b.nodes, b.pi, ZERO))
-
+    violations = list(check_cut_feasibility(inst, dual).violations)
     for e in inst.edges:
-        load = dual.edge_load(e.u, e.v)
-        if load > e.weight:
-            violations.append(Violation("edge-load", (e.u, e.v), load, e.weight))
-        elif (e.u, e.v) in m and load != e.weight:
-            violations.append(
-                Violation("cs-matched-edge-tight", (e.u, e.v), load, e.weight))
+        if (e.u, e.v) in m:
+            load = dual.edge_load(e.u, e.v)
+            # A load above the weight is already an edge-load violation.
+            if load < e.weight:
+                violations.append(
+                    Violation("cs-matched-edge-tight", (e.u, e.v), load, e.weight))
 
     for b in dual.blossoms:
         if b.pi > 0:

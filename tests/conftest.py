@@ -1,6 +1,7 @@
 import pytest
 
-from matchcert import Instance, figure2_instance
+from matchcert.cli import figure2_instance
+from matchcert.graph import Instance
 
 
 @pytest.fixture

@@ -21,10 +21,13 @@ normalized first) and checks every claim exactly, in rational arithmetic:
      instance's minimum matching weight over all cardinalities;
   9. with integer weights, every dual value is a multiple of 1/2.
 
+A golden digest of all snapshot JSON guards the output byte for byte.
+
 Each test prints one PASS line with its coverage counts (visible with
 pytest -s; the -v test line carries the same verdict).
 """
 
+import hashlib
 import random
 import time
 from dataclasses import dataclass
@@ -32,18 +35,24 @@ from fractions import Fraction
 
 import pytest
 
-from matchcert import (Instance, Matching, OracleTable, RunResult,
-                       accumulate_duals, alternating_path_difference,
-                       build_auxiliary_completion, build_doubled_graph,
-                       check_cardinality_certificate, check_perfect_certificate,
-                       compare_dual_policies, figure2_instance, lift_matching,
-                       matching_weight, min_weight_by_cardinality,
-                       normalize_weights, solve, transform_duals, verify_run)
+from matchcert import jsonio
+from matchcert.certificates import (check_cardinality_certificate,
+                                    transform_duals, verify_run)
+from matchcert.cli import compare_dual_policies, figure2_instance
+from matchcert.engine import RunResult, accumulated_pi, lift_matching, solve
+from matchcert.graph import (Instance, Matching, alternating_path_difference,
+                             matching_weight, normalize_weights)
+from matchcert.oracle import OracleTable, min_weight_by_cardinality
+from matchcert.reductions import (build_auxiliary_completion,
+                                  build_doubled_graph,
+                                  check_perfect_certificate)
 from util import minimum_perfect_weight, random_instance
 
 SEED = 20260809
 NONNEGATIVE_COUNT = 205
 NEGATIVE_COUNT = 55
+# sha256 over the snapshot JSON of every corpus run, in corpus order.
+GOLDEN_DIGEST = "4ac8ab7c2f7ed562c3175b0b1253cf55303a7c1dc8dbe7f8ff9138c253d478a3"
 
 
 @dataclass
@@ -158,9 +167,9 @@ def test_criterion_5_exposed_nodes_at_maximum_dual(suite):
     phases = 0
     for rec in suite:
         for duals, lifted in rec.phases:
-            acc = accumulate_duals(duals)
+            pi_star = accumulated_pi(duals.singleton_pi, duals.blossoms)
             for v in lifted.exposed(rec.normalized):
-                assert acc.pi_star[v] == acc.pi_star_max
+                assert pi_star[v] == max(pi_star)
             phases += 1
     assert phases > 0
     report("criterion 5 (exposed nodes at maximum accumulated dual)",
@@ -219,3 +228,12 @@ def test_criterion_9_half_integral_duals(suite):
                 values += 1
     report("criterion 9 (dual values are multiples of 1/2)",
            f"{values} dual values")
+
+
+def test_snapshot_json_matches_golden_digest(suite):
+    digest = hashlib.sha256()
+    for rec in suite:
+        digest.update(jsonio.dumps(jsonio.run_result_to_dict(rec.run)).encode())
+    assert digest.hexdigest() == GOLDEN_DIGEST, \
+        "snapshot JSON of the acceptance corpus changed"
+    report("golden output", f"{len(suite)} runs byte-identical")

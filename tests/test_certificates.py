@@ -4,11 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from matchcert import (BlossomDual, DualState, Instance, Matching,
-                       ScriptedPolicy, accumulate_duals,
-                       check_cardinality_certificate, check_cut_feasibility,
-                       figure2_instance, min_weight_by_cardinality, solve,
-                       transform_duals, verify_run)
+from matchcert.certificates import (check_cardinality_certificate,
+                                    check_cut_feasibility, transform_duals,
+                                    verify_run)
+from matchcert.engine import (BlossomDual, DualState, ScriptedPolicy,
+                              accumulated_pi, solve)
+from matchcert.graph import Instance, Matching
+from matchcert.oracle import min_weight_by_cardinality
 from util import random_instance
 
 HALF = Fraction(1, 2)
@@ -44,21 +46,24 @@ def random_laminar_duals(rng: random.Random, n: int,
                      tuple(BlossomDual(b, p) for b, p in zip(blossoms, pis)))
 
 
+def accumulate(dual: DualState) -> list[Fraction]:
+    return accumulated_pi(dual.singleton_pi, dual.blossoms)
+
+
 class TestAccumulateDuals:
     def test_zero(self):
-        acc = accumulate_duals(duals([0, 0, 0]))
-        assert acc.pi_star == (0, 0, 0)
-        assert acc.pi_star_max == 0
+        assert accumulate(duals([0, 0, 0])) == [0, 0, 0]
 
     def test_singletons_only(self):
-        acc = accumulate_duals(duals([HALF, HALF]))
-        assert acc.pi_star == (HALF, HALF)
-        assert acc.pi_star_max == HALF
+        assert accumulate(duals([HALF, HALF])) == [HALF, HALF]
 
     def test_blossom_contributes_to_all_members(self):
-        acc = accumulate_duals(duals([0, 0, 0], [({0, 1, 2}, HALF)]))
-        assert acc.pi_star == (HALF, HALF, HALF)
-        assert acc.pi_star_max == HALF
+        assert accumulate(duals([0, 0, 0], [({0, 1, 2}, HALF)])) == [HALF] * 3
+
+    def test_nested_blossoms_add_up(self):
+        nested = duals([1, 0, 0, 0, 0], [({0, 1, 2}, HALF), ({0, 1, 2, 3, 4}, 1)])
+        assert accumulate(nested) == [Fraction(5, 2), Fraction(3, 2),
+                                      Fraction(3, 2), 1, 1]
 
 
 class TestTransformDuals:

@@ -4,8 +4,7 @@ import sys
 
 import pytest
 
-from matchcert import compare_dual_policies, figure2_instance
-from matchcert.cli import main
+from matchcert.cli import compare_dual_policies, figure2_instance, main
 
 P4_TEXT = "p edge 4 3\ne 1 2 5\ne 2 3 1\ne 3 4 5\n"
 TRIANGLE_TEXT = "p edge 3 3\ne 1 2 1\ne 1 3 2\ne 2 3 3\n"
@@ -62,7 +61,7 @@ class TestSolveCommand:
 
     def test_scripted_policy_from_file(self, capsys, tmp_path):
         fig2_path = tmp_path / "fig2.dimacs"
-        from matchcert import format_instance
+        from matchcert.graph import format_instance
         fig2_path.write_text(format_instance(figure2_instance()))
         amounts = tmp_path / "amounts.txt"
         amounts.write_text("1, 1, 3\n")
@@ -94,6 +93,29 @@ class TestSolveCommand:
         assert out1 == out2
 
 
+def verify_tampered(capsys, tmp_path, instance_file, tamper):
+    """Solve P4, edit the snapshots file with `tamper`, then verify it
+    against `instance_file`."""
+    p4_path = tmp_path / "p4.dimacs"
+    p4_path.write_text(P4_TEXT)
+    run_path = tmp_path / "run.json"
+    run_cli(capsys, "solve", str(p4_path), "--snapshots", str(run_path))
+    data = json.loads(run_path.read_text())
+    tamper(data)
+    run_path.write_text(json.dumps(data))
+    return run_cli(capsys, "verify", instance_file, "--run", str(run_path))
+
+
+def swap_snapshots_1_2(data):
+    snaps = data["snapshots"]
+    snaps[1], snaps[2] = snaps[2], snaps[1]
+
+
+def witnesses(out, constraint):
+    return [v["witness"] for v in json.loads(out)["violations"]
+            if v["constraint"].startswith(constraint)]
+
+
 class TestVerifyCommand:
     def test_round_trip(self, capsys, tmp_path, p4_file):
         run_path = tmp_path / "run.json"
@@ -120,6 +142,44 @@ class TestVerifyCommand:
         code, out, _ = run_cli(capsys, "verify", str(path), "--run", str(run_path))
         assert code == 0
         assert json.loads(out)["pass"] is True
+
+
+    def test_sequence_witness_is_snapshot_position(self, capsys, tmp_path, p4_file):
+        code, out, _ = verify_tampered(capsys, tmp_path, p4_file, swap_snapshots_1_2)
+        assert code == 2
+        assert witnesses(out, "snapshot-cardinality-sequence") == [1, 2]
+
+    def test_path_witness_is_one_based_node_lists(self, capsys, tmp_path, p4_file):
+        code, out, _ = verify_tampered(capsys, tmp_path, p4_file, swap_snapshots_1_2)
+        assert code == 2
+        # Snapshots k=0 and k=2 differ by the two disjoint edges {1,2}, {3,4}.
+        assert witnesses(out, "consecutive-single-path") == [[[1, 2], [3, 4]]]
+
+    def test_missing_duals_is_input_error(self, capsys, tmp_path, p4_file):
+        def drop_duals(data):
+            del data["snapshots"][1]["duals"]
+        code, out, err = verify_tampered(capsys, tmp_path, p4_file, drop_duals)
+        assert code == 3
+        assert out == ""
+        assert "missing key 'duals'" in err
+
+    def test_dropped_singleton_is_input_error(self, capsys, tmp_path, p4_file):
+        def drop_singleton(data):
+            for snap in data["snapshots"]:
+                del snap["duals"]["singletons"]["4"]
+        code, out, err = verify_tampered(capsys, tmp_path, p4_file, drop_singleton)
+        assert code == 3
+        assert out == ""
+        assert "node ids in 1..3" in err
+
+    def test_run_of_another_instance_is_input_error(self, capsys, tmp_path):
+        # P4 plus an isolated fifth node: every stored edge still exists.
+        other = tmp_path / "p4_plus_one.dimacs"
+        other.write_text(P4_TEXT.replace("p edge 4 3", "p edge 5 3"))
+        code, out, err = verify_tampered(capsys, tmp_path, str(other), lambda d: None)
+        assert code == 3
+        assert out == ""
+        assert "duals for 4 nodes, but the instance has 5" in err
 
 
 class TestCounterexampleCommand:
@@ -153,7 +213,7 @@ class TestReduceCommand:
     def test_doubled_output_parses(self, capsys, p4_file):
         code, out, _ = run_cli(capsys, "reduce", p4_file, "--doubled")
         assert code == 0
-        from matchcert import parse_instance
+        from matchcert.graph import parse_instance
         doubled = parse_instance(out)
         assert doubled.node_count == 8
         assert len(doubled.edges) == 10
@@ -168,7 +228,7 @@ class TestReduceCommand:
         assert data["check"]["pass"] is True
         assert data["exposed"] == [1, 4]
         assert [m for m in data["matching"]] == [[1, 5], [2, 3], [4, 6]]
-        from matchcert import parse_instance
+        from matchcert.graph import parse_instance
         aux = parse_instance(data["instance"])
         assert aux.node_count == 6
 

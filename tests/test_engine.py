@@ -1,18 +1,25 @@
+import inspect
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
-from matchcert import (Instance, Matching, ScriptedPolicy,
-                       alternating_path_difference, apply_dual_update,
-                       compute_alpha, figure2_instance, lift_matching,
-                       matching_weight, min_weight_by_cardinality,
-                       shrink_blossom, solve)
 from matchcert.engine import (EngineState, EngineStateError,
-                              InfeasibleUpdateError, _Blossom, _completion)
+                              InfeasibleUpdateError, ScriptedPolicy, _Blossom,
+                              _completion, apply_dual_update, compute_alpha,
+                              lift_matching, shrink_blossom, solve)
+from matchcert.graph import Instance, Matching, alternating_path_difference
+from matchcert.oracle import min_weight_by_cardinality
 from util import advance_to_dual_phase, random_instance
 
 HALF = Fraction(1, 2)
+
+
+def edge_slack(state: EngineState, edge_index: int) -> Fraction:
+    """w_e minus the cut-form dual load of edge e."""
+    e = state.inst.edges[edge_index]
+    return e.weight - state.frozen_duals().edge_load(e.u, e.v)
 
 
 class TestSolveRuns:
@@ -147,7 +154,7 @@ class TestApplyDualUpdate:
         state.grow_forest()
         apply_dual_update(state, HALF)
         assert state.pi_node == [HALF] * 4
-        assert state.slack(1) == 0  # edge {2, 3} became tight
+        assert edge_slack(state, 1) == 0  # edge {2, 3} became tight
 
     def test_figure2_scripted_amounts(self, fig2):
         state = EngineState(fig2)
@@ -156,9 +163,9 @@ class TestApplyDualUpdate:
         assert roots == [6, 7, 8]  # the three exposed tail nodes c1, c2, c3
         apply_dual_update(state, dict(zip(roots, map(Fraction, (1, 1, 3)))))
         assert state.pi_node == [1, 1, 3, -1, -1, -3, 1, 1, 3]
-        assert state.slack(8) == 0      # {a1, a3}, weight 4: 1 + 3 tight
-        assert state.slack(6) == 1      # {a1, a2}, weight 3
-        assert state.slack(7) == 1      # {a2, a3}, weight 5
+        assert edge_slack(state, 8) == 0      # {a1, a3}, weight 4: 1 + 3 tight
+        assert edge_slack(state, 6) == 1      # {a1, a2}, weight 3
+        assert edge_slack(state, 7) == 1      # {a2, a3}, weight 5
 
     def test_infeasible_amounts_rejected_state_unchanged(self, fig2):
         state = EngineState(fig2)
@@ -350,3 +357,34 @@ class TestEngineInvariantsOnRandomRuns:
         solve(p4, on_dual_update=lambda s: calls.append(s.frozen_duals()))
         assert calls
         assert calls[0].singleton_pi == (HALF,) * 4
+
+
+def nested_ladder(depth: int) -> Instance:
+    """A weight-0 triangle; each level adds a weight-0 pair joined to the
+    previous level's two newest nodes by weight-2 rungs, closing an odd
+    cycle around the previous blossom; a pendant edge heavier than all
+    rungs together forces one last augmentation through the whole nest."""
+    edges = [(0, 1, 0), (1, 2, 0), (0, 2, 0)]
+    left, right, n = 2, 0, 3
+    for _ in range(depth):
+        a, b = n, n + 1
+        edges += [(left, a, 2), (a, b, 0), (b, right, 2)]
+        left, right, n = a, b, n + 2
+    edges.append((left, n, 2 * (depth + 1)))
+    return Instance.from_edges(n + 1, edges)
+
+
+class TestDeepNesting:
+    def test_blossom_walks_do_not_recurse(self):
+        inst = nested_ladder(40)
+        limit = sys.getrecursionlimit()
+        # Leave far fewer free frames than the nesting depth.
+        sys.setrecursionlimit(len(inspect.stack()) + 30)
+        try:
+            run = solve(inst)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert run.final.cardinality == inst.node_count // 2
+        depth = max(sum(v in b.nodes for b in snap.dual_state.blossoms)
+                    for snap in run.snapshots for v in range(inst.node_count))
+        assert depth == 41

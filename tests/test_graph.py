@@ -3,10 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from matchcert import (Instance, Matching, ParseError,
-                       alternating_path_difference, figure2_instance,
-                       format_instance, format_matching, matching_weight,
-                       normalize_weights, parse_instance, parse_matching)
+from matchcert.cli import figure2_instance
+from matchcert.graph import (Instance, Matching, ParseError,
+                             alternating_path_difference, format_instance,
+                             format_matching, matching_weight,
+                             normalize_weights, parse_instance, parse_matching)
 from util import naive_min_by_cardinality, random_instance
 
 

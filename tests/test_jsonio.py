@@ -1,8 +1,9 @@
 import json
 from fractions import Fraction
 
-from matchcert import (Verdict, Violation, min_weight_by_cardinality,
-                       solve, verify_run)
+from matchcert.certificates import Verdict, Violation, verify_run
+from matchcert.engine import solve
+from matchcert.oracle import min_weight_by_cardinality
 from matchcert import jsonio
 
 

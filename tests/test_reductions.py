@@ -4,11 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from matchcert import (CompletionRefusedError, DualState, Instance, Matching,
-                       ScriptedPolicy, build_auxiliary_completion,
-                       build_doubled_graph, check_perfect_certificate,
-                       figure2_instance, matching_weight,
-                       min_weight_by_cardinality, solve)
+from matchcert.engine import DualState, ScriptedPolicy, solve
+from matchcert.graph import Instance, Matching, matching_weight
+from matchcert.oracle import min_weight_by_cardinality
+from matchcert.reductions import (CompletionRefusedError,
+                                  build_auxiliary_completion,
+                                  build_doubled_graph,
+                                  check_perfect_certificate)
 from util import minimum_perfect_weight, random_instance
 
 HALF = Fraction(1, 2)
@@ -69,6 +71,20 @@ class TestAuxiliaryCompletion:
         assert any(v.constraint in ("edge-load", "cs-matched-edge-tight")
                    and v.witness == (0, 4)
                    for v in verdict.violations)
+
+    def test_matched_edge_fault_reported_once(self, p4):
+        run = solve(p4)
+        comp = build_auxiliary_completion(p4, run.snapshots[1])
+        # Raising helper u1's dual overloads the matched edge {1, u1};
+        # lowering it leaves that edge slack. Each fault is named once.
+        for shift, expected in ((HALF, "edge-load"), (-HALF, "cs-matched-edge-tight")):
+            pi = list(comp.lifted_duals.singleton_pi)
+            pi[4] += shift
+            forged = replace(comp, lifted_duals=DualState(
+                tuple(pi), comp.lifted_duals.blossoms))
+            verdict = check_perfect_certificate(forged)
+            assert [v.constraint for v in verdict.violations
+                    if v.witness == (0, 4)] == [expected]
 
     def test_scripted_snapshot_refused(self, fig2):
         run = solve(fig2, policy=ScriptedPolicy.single_phase([1, 1, 3]))

@@ -9,7 +9,8 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
-from matchcert import Instance, normalize_weights, solve
+from matchcert.engine import solve
+from matchcert.graph import Instance, normalize_weights
 from matchcert.engine import EngineState, shrink_blossom
 
 
