@@ -23,6 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from math import lcm
 from typing import Iterable
 
 from .engine import DualState, RunResult, accumulated_pi
@@ -43,14 +45,6 @@ class CardinalityCertificate:
     y: tuple[Fraction, ...]
     z: tuple[tuple[frozenset[int], Fraction], ...]
     k: int
-
-    def z_sum_inside(self, u: int, v: int) -> Fraction:
-        """Sum of z over sets containing both endpoints."""
-        total = ZERO
-        for nodes, value in self.z:
-            if u in nodes and v in nodes:
-                total += value
-        return total
 
 
 def transform_duals(dual: DualState, k: int) -> CardinalityCertificate:
@@ -93,13 +87,34 @@ def _verdict(violations: Iterable[Violation]) -> Verdict:
     return Verdict(tuple(violations))
 
 
+def _family_violations(sets: Iterable[frozenset[int]]) -> list[Violation]:
+    """The family must consist of odd sets and be laminar.
+
+    Laminarity is checked in O(sum of set sizes): going from the largest
+    set to the smallest, each node remembers the smallest set seen so far
+    that contains it, and all members of a set must remember the same one.
+    """
+    violations: list[Violation] = []
+    enclosing: dict[int, int] = {}
+    for i, nodes in enumerate(sorted(sets, key=len, reverse=True)):
+        if len(nodes) % 2 == 0:
+            violations.append(Violation("odd-set", nodes, len(nodes), "odd"))
+        if len({enclosing.get(v) for v in nodes}) > 1:
+            violations.append(
+                Violation("laminar-family", nodes, "crossing", "nested or disjoint"))
+        for v in nodes:
+            enclosing[v] = i
+    return violations
+
+
 def check_cut_feasibility(inst: Instance, dual: DualState) -> Verdict:
     """Check the cut-form dual constraints exactly.
 
-    Blossom duals must be nonnegative, and for every edge the summed dual
-    load over sets cut by the edge must not exceed the edge weight.
+    The blossoms must form a laminar family of odd sets, blossom duals
+    must be nonnegative, and for every edge the summed dual load over sets
+    cut by the edge must not exceed the edge weight.
     """
-    violations: list[Violation] = []
+    violations = _family_violations(b.nodes for b in dual.blossoms)
     for b in dual.blossoms:
         if b.pi < 0:
             violations.append(Violation("blossom-nonneg", b.nodes, b.pi, ZERO))
@@ -114,37 +129,61 @@ def check_cardinality_certificate(inst: Instance, m: Matching,
                                   cert: CardinalityCertificate) -> Verdict:
     """Check feasibility and complementary slackness, all exactly.
 
-    Checks: the matching has cardinality cert.k; every edge satisfies the
-    dual constraint (F1); y and z are nonpositive (F2); matched edges make
-    (F1) tight (CS1); nodes with negative y are matched (CS2); sets with
-    negative z contain exactly (|U|-1)/2 matching edges (CS3). A passing
-    verdict certifies m is minimum-weight among cardinality-k matchings.
+    Checks: the z sets form a laminar family of odd sets; the matching has
+    cardinality cert.k; every edge satisfies the dual constraint (F1); y
+    and z are nonpositive (F2); matched edges make (F1) tight (CS1); nodes
+    with negative y are matched (CS2); sets with negative z contain
+    exactly (|U|-1)/2 matching edges (CS3). A passing verdict certifies m
+    is minimum-weight among cardinality-k matchings.
+
+    The edge constraints are evaluated on integers: gamma, y, z and the
+    weights multiplied by the lcm of their denominators. Violations are
+    reported in original units.
     """
-    violations: list[Violation] = []
+    violations = _family_violations(nodes for nodes, _ in cert.z)
 
     if len(m) != cert.k:
         violations.append(Violation("cardinality", None, len(m), cert.k))
 
-    for v, yv in enumerate(cert.y):
+    scale = lcm(*{q.denominator for q in chain(
+        (cert.gamma,), cert.y, (zu for _, zu in cert.z), (e.weight for e in inst.edges))})
+
+    def units(q: Fraction) -> int:
+        return q.numerator * (scale // q.denominator)
+
+    y = [units(yv) for yv in cert.y]
+    z = [(nodes, units(zu)) for nodes, zu in cert.z]
+    gamma = units(cert.gamma)
+
+    for v, yv in enumerate(y):
         if yv > 0:
-            violations.append(Violation("y-nonpositive", v, yv, ZERO))
-    for nodes, zu in cert.z:
+            violations.append(Violation("y-nonpositive", v, cert.y[v], ZERO))
+    for (nodes, zu), (_, value) in zip(z, cert.z):
         if zu > 0:
-            violations.append(Violation("z-nonpositive", nodes, zu, ZERO))
+            violations.append(Violation("z-nonpositive", nodes, value, ZERO))
 
+    # Sets with z = 0 add nothing to any sum.
+    nonzero = [(nodes, zu) for nodes, zu in z if zu]
     for e in inst.edges:
-        lhs = cert.y[e.u] + cert.y[e.v] + cert.z_sum_inside(e.u, e.v) + cert.gamma
-        if lhs > e.weight:
-            violations.append(Violation("edge-feasibility", (e.u, e.v), lhs, e.weight))
-        elif (e.u, e.v) in m and lhs != e.weight:
+        u, v = e.u, e.v
+        lhs = y[u] + y[v] + gamma
+        for nodes, zu in nonzero:
+            if u in nodes and v in nodes:
+                lhs += zu
+        w = units(e.weight)
+        if lhs > w:
             violations.append(
-                Violation("cs-matched-edge-tight", (e.u, e.v), lhs, e.weight))
+                Violation("edge-feasibility", (u, v), Fraction(lhs, scale), e.weight))
+        elif lhs != w and (u, v) in m:
+            violations.append(
+                Violation("cs-matched-edge-tight", (u, v), Fraction(lhs, scale),
+                          e.weight))
 
-    for v, yv in enumerate(cert.y):
+    for v, yv in enumerate(y):
         if yv < 0 and not m.covers(v):
-            violations.append(Violation("cs-exposed-zero-y", v, yv, ZERO))
+            violations.append(Violation("cs-exposed-zero-y", v, cert.y[v], ZERO))
 
-    for nodes, zu in cert.z:
+    for nodes, zu in z:
         if zu < 0:
             inside = m.count_inside(nodes)
             expected = (len(nodes) - 1) // 2

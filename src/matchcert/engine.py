@@ -22,6 +22,20 @@ Design notes:
   * All structure caches (shrunken view, forest) are rebuilt from scratch
     after every mutation. Instances here are desk-scale; correctness and
     auditability win over asymptotics.
+  * Numeric domain: inside the engine every weight and dual is a plain
+    int, in units of 1/D. D starts as 2 * lcm of the denominators of all
+    weights and beta, so on such inputs every dual stays a multiple of
+    1/D (with integer weights, duals are multiples of 1/2). An amount
+    handed in from outside (a scripted phase, or a direct call of
+    `apply_dual_update`) that is not a multiple of 1/D first multiplies D
+    by the missing factor, rescaling every stored int. Values cross the
+    API boundary as exact Fractions in original units: `pi_node`,
+    `AlphaResult.alpha`, `InfeasibleUpdateError`, `DualState`.
+  * Each node's accumulated dual pi*(v) (its own dual plus the duals of
+    all blossoms containing it) is kept current: a dual update moves it
+    by the step of the node's maximal set, and shrinking or expanding a
+    blossom, whose dual is then 0, leaves it unchanged. View rebuilds,
+    `compute_alpha` and `apply_dual_update` read it directly.
   * Determinism: forest growth scans shrunken-graph nodes in ascending id
     (a node's id is the smallest original node it contains) and each
     node's incident edges in instance input order. The first event found
@@ -32,6 +46,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Callable, Iterable, Iterator, Mapping, Union
 
 from .graph import Instance, Matching, RationalInput, as_rational, matching_weight
@@ -55,8 +70,8 @@ class InfeasibleUpdateError(ValueError):
     """A dual update was rejected; carries the violated constraint.
 
     Attributes mirror certificate violations: constraint id, witness
-    (edge index or node set), exact lhs and rhs. The engine state is
-    unchanged when this is raised.
+    (edge index or node set), exact lhs and rhs, in original units. The
+    duals keep their values when this is raised.
     """
 
     def __init__(self, constraint: str, witness, lhs, rhs):
@@ -238,13 +253,14 @@ class AlphaResult:
 
 class _Blossom:
     """A shrunken odd cycle. cycle[0] is the base constituent; cycle_edges[i]
-    is the original edge joining cycle[i] and cycle[(i+1) % len]."""
+    is the original edge joining cycle[i] and cycle[(i+1) % len]. pi is
+    the blossom's dual in the engine's integer units."""
 
     __slots__ = ("nodes", "pi", "cycle", "cycle_edges")
 
     def __init__(self, nodes: frozenset[int], cycle: list, cycle_edges: list[Pair]):
         self.nodes = nodes
-        self.pi: Fraction = ZERO
+        self.pi = 0
         self.cycle = cycle
         self.cycle_edges = cycle_edges
 
@@ -313,13 +329,21 @@ class EngineState:
                 f"2*beta exceeds the minimum edge weight {inst.min_weight()}")
         self.inst = inst
         self.beta = beta
-        self.pi_node: list[Fraction] = [beta] * inst.node_count
+        # Integer units of 1/scale: weights, node duals, accumulated duals
+        # pi*, and (on the records) blossom duals.
+        self._scale = 2 * lcm(beta.denominator,
+                              *(e.weight.denominator for e in inst.edges))
+        self._weights = [self._units(e.weight) for e in inst.edges]
+        self._pi = [self._units(beta)] * inst.node_count
+        self._pi_star = list(self._pi)
+        self._fractions: dict[int, Fraction] = {}
         self.blossoms: list[_Blossom] = []  # maximal nontrivial blossoms
         self.crossing: set[Pair] = set()
         self._view: ShrunkenView | None = None
         self._forest: ForestLabels | None = None
         self._walk: AlternatingWalk | None = None
         self._forest_grown = False
+        self._top: dict[int, int] | None = None
 
     # -- caching ------------------------------------------------------------
 
@@ -328,8 +352,41 @@ class EngineState:
         self._forest = None
         self._walk = None
         self._forest_grown = False
+        self._top = None
 
     # -- dual arithmetic ----------------------------------------------------
+
+    def _units(self, value: Fraction) -> int:
+        """value * scale, which must be an integer."""
+        return value.numerator * (self._scale // value.denominator)
+
+    def _fraction(self, units: int) -> Fraction:
+        """units / scale as a Fraction; one shared object per value, so
+        snapshots holding the same dual share it."""
+        value = self._fractions.get(units)
+        if value is None:
+            value = self._fractions[units] = Fraction(units, self._scale)
+        return value
+
+    def _admit(self, amounts: Iterable[Fraction]) -> None:
+        """Grow the scale once so that every amount is a whole number of
+        units, multiplying every stored int by the same factor."""
+        factor = lcm(*(a.denominator // gcd(a.denominator, self._scale)
+                       for a in amounts))
+        if factor == 1:
+            return
+        self._scale *= factor
+        self._weights = [w * factor for w in self._weights]
+        self._pi = [p * factor for p in self._pi]
+        self._pi_star = [p * factor for p in self._pi_star]
+        for rec in self._records():
+            rec.pi *= factor
+        self._fractions = {}
+
+    @property
+    def pi_node(self) -> list[Fraction]:
+        """Singleton duals in original units."""
+        return [self._fraction(p) for p in self._pi]
 
     def _records(self) -> Iterator[_Blossom]:
         """Every blossom record, nested ones included."""
@@ -340,12 +397,14 @@ class EngineState:
 
     def top_map(self) -> dict[int, int]:
         """Original node -> id of its maximal set (its view node)."""
-        top = {v: v for v in range(self.inst.node_count)}
-        for rec in self.blossoms:
-            key = min(rec.nodes)
-            for v in rec.nodes:
-                top[v] = key
-        return top
+        if self._top is None:
+            top = {v: v for v in range(self.inst.node_count)}
+            for rec in self.blossoms:
+                key = min(rec.nodes)
+                for v in rec.nodes:
+                    top[v] = key
+            self._top = top
+        return self._top
 
     def top_record(self, key: int) -> Union[_Blossom, int]:
         for rec in self.blossoms:
@@ -365,13 +424,11 @@ class EngineState:
             for v in rec.nodes:
                 if v != key:
                     del members[v]
-        pi_star = accumulated_pi(self.pi_node, self._records())
+        pi_star = self._pi_star
         tight = []
-        for i, e in enumerate(self.inst.edges):
+        for i, (e, w) in enumerate(zip(self.inst.edges, self._weights)):
             ku, kv = top[e.u], top[e.v]
-            if ku == kv:
-                continue
-            if pi_star[e.u] + pi_star[e.v] == e.weight:
+            if ku != kv and pi_star[e.u] + pi_star[e.v] == w:
                 tight.append((i, ku, kv))
         self._view = ShrunkenView(tuple(sorted(members)), members, tuple(tight))
         return self._view
@@ -517,7 +574,7 @@ class EngineState:
         records.sort(key=lambda r: (min(r.nodes), len(r.nodes)))
         return DualState(
             tuple(self.pi_node),
-            tuple(BlossomDual(r.nodes, r.pi) for r in records),
+            tuple(BlossomDual(r.nodes, self._fraction(r.pi)) for r in records),
             self.beta)
 
     def snapshot(self) -> Snapshot:
@@ -602,37 +659,43 @@ def compute_alpha(state: EngineState) -> AlphaResult:
       (a) pi(U) for S-labeled blossoms (their dual is about to decrease);
       (b) slack(e) for edges joining a T-node to a free node;
       (c) slack(e)/2 for edges joining two T-nodes in distinct view nodes.
-    Returns alpha None when no bound exists (no perfect matching).
+    Returns alpha None when no bound exists (no perfect matching). Bounds
+    are compared in units of 1/(2 * scale), so (c) stays an integer; of
+    equal bounds the first offered, in the order above and edges in input
+    order, binds.
     """
     labels = state._require_clean_forest()
+    label = labels.label
     top = state.top_map()
-    pi_star = accumulated_pi(state.pi_node, state._records())
+    pi_star = state._pi_star
 
-    best: Fraction | None = None
+    best: int | None = None
     binding: tuple | None = None
 
-    def offer(value: Fraction, what: tuple) -> None:
-        nonlocal best, binding
-        if best is None or value < best:
-            best, binding = value, what
-
     for rec in state.blossoms:
-        key = min(rec.nodes)
-        if labels.label.get(key) == LABEL_S:
-            offer(rec.pi, ("blossom-nonneg", rec.nodes))
+        if label.get(min(rec.nodes)) == LABEL_S:
+            bound = 2 * rec.pi
+            if best is None or bound < best:
+                best, binding = bound, ("blossom-nonneg", rec.nodes)
 
-    for i, e in enumerate(state.inst.edges):
+    for i, (e, w) in enumerate(zip(state.inst.edges, state._weights)):
         ku, kv = top[e.u], top[e.v]
         if ku == kv:
             continue
-        lu, lv = labels.label.get(ku), labels.label.get(kv)
-        slack = e.weight - pi_star[e.u] - pi_star[e.v]
+        lu, lv = label.get(ku), label.get(kv)
         if lu == LABEL_T and lv == LABEL_T:
-            offer(slack / 2, ("edge-t-t", i))
+            factor, what = 1, "edge-t-t"
         elif (lu == LABEL_T and lv is None) or (lv == LABEL_T and lu is None):
-            offer(slack, ("edge-t-free", i))
+            factor, what = 2, "edge-t-free"
+        else:
+            continue
+        bound = factor * (w - pi_star[e.u] - pi_star[e.v])
+        if best is None or bound < best:
+            best, binding = bound, (what, i)
 
-    return AlphaResult(best, binding)
+    if best is None:
+        return AlphaResult(None, None)
+    return AlphaResult(Fraction(best, 2 * state._scale), binding)
 
 
 def apply_dual_update(state: EngineState,
@@ -644,7 +707,7 @@ def apply_dual_update(state: EngineState,
     from tree root (view node id) to that tree's amount; unmapped trees
     get 0. The update is validated against the dual constraints before
     anything is written; an infeasible request raises InfeasibleUpdateError
-    and leaves the state untouched. Afterwards every maximal S-labeled
+    and leaves the duals untouched. Afterwards every maximal S-labeled
     blossom whose dual reached 0 is deshrunken and removed.
     """
     labels = state._require_clean_forest()
@@ -657,43 +720,50 @@ def apply_dual_update(state: EngineState,
     else:
         value = as_rational(amounts)
         per_root = {k: value for k in labels.roots}
+    state._admit(set(per_root.values()))
+    units = {k: state._units(a) for k, a in per_root.items()}
 
-    delta: dict[int, Fraction] = {}
+    delta: dict[int, int] = {}
     for key, lbl in labels.label.items():
-        amount = per_root.get(labels.root[key], ZERO)
+        amount = units.get(labels.root[key], 0)
         delta[key] = amount if lbl == LABEL_T else -amount
 
     # Validate nonnegativity of blossom duals.
-    for rec in state.blossoms:
-        key = min(rec.nodes)
+    tops = {min(rec.nodes): rec for rec in state.blossoms}
+    for key, rec in tops.items():
         if key in delta:
             new_pi = rec.pi + delta[key]
             if new_pi < 0:
-                raise InfeasibleUpdateError("blossom-nonneg", rec.nodes, new_pi, ZERO)
+                raise InfeasibleUpdateError("blossom-nonneg", rec.nodes,
+                                            Fraction(new_pi, state._scale), ZERO)
 
     # Validate the edge constraints. Only edges whose load grows can break.
     top = state.top_map()
-    pi_star = accumulated_pi(state.pi_node, state._records())
-    for i, e in enumerate(state.inst.edges):
+    pi_star = state._pi_star
+    for i, (e, w) in enumerate(zip(state.inst.edges, state._weights)):
         ku, kv = top[e.u], top[e.v]
         if ku == kv:
             continue
-        change = delta.get(ku, ZERO) + delta.get(kv, ZERO)
+        change = delta.get(ku, 0) + delta.get(kv, 0)
         if change <= 0:
             continue
         new_load = pi_star[e.u] + pi_star[e.v] + change
-        if new_load > e.weight:
-            raise InfeasibleUpdateError("edge-slack", i, new_load, e.weight)
+        if new_load > w:
+            raise InfeasibleUpdateError("edge-slack", i,
+                                        Fraction(new_load, state._scale), e.weight)
 
-    # Commit.
+    # Commit. A maximal set's step moves pi* of every node inside it.
     for key, d in delta.items():
         if d == 0:
             continue
-        item = state.top_record(key)
-        if isinstance(item, _Blossom):
-            item.pi += d
+        rec = tops.get(key)
+        if rec is None:
+            state._pi[key] += d
+            pi_star[key] += d
         else:
-            state.pi_node[key] += d
+            rec.pi += d
+            for v in rec.nodes:
+                pi_star[v] += d
 
     # Deshrink maximal S-labeled blossoms whose dual is now 0.
     for rec in [b for b in state.blossoms

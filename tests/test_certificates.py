@@ -105,7 +105,8 @@ class TestTransformDuals:
             cert = transform_duals(dual, 0)
             for u in range(n):
                 for v in range(u + 1, n):
-                    lhs = cert.y[u] + cert.y[v] + cert.z_sum_inside(u, v) + cert.gamma
+                    z_inside = sum(zu for nodes, zu in cert.z if {u, v} <= nodes)
+                    lhs = cert.y[u] + cert.y[v] + z_inside + cert.gamma
                     assert lhs == dual.edge_load(u, v)
 
 
@@ -166,6 +167,57 @@ class TestCardinalityCertificate:
         verdict = check_cardinality_certificate(p4, snap.matching, bumped)
         assert not verdict.passed
         assert any(v.constraint == "edge-feasibility" for v in verdict.violations)
+
+
+class TestFamilyChecks:
+    # The LP constraint x(E[U]) <= (|U|-1)/2 is valid only for odd U, and
+    # both checkers require the family to be laminar.
+    def test_even_set_rejected_by_both_checkers(self):
+        # The {1,2} "blossom" would certify the weight-10 edge {3,4} at
+        # k=1, where the optimum is the weight-0 edge {1,2}.
+        inst = Instance.from_edges(4, [(0, 1, 0), (2, 3, 10)])
+        dual = duals([0, 0, 5, 5], [({0, 1}, 5)])
+        assert [v.constraint for v in check_cut_feasibility(inst, dual).violations] \
+            == ["odd-set"]
+        cert = transform_duals(dual, 1)
+        verdict = check_cardinality_certificate(
+            inst, Matching.from_pairs([(2, 3)]), cert)
+        assert [(v.constraint, v.witness) for v in verdict.violations] == \
+            [("odd-set", frozenset({0, 1}))]
+
+    @pytest.mark.parametrize("sets", [
+        [{0, 1, 2}, {2, 3, 4}],                        # equal sizes
+        [{2, 3, 4}, {0, 1, 2, 5, 6}],                  # smaller set first
+        [set(range(7)), {0, 1, 2}, {2, 3, 4}],         # crossing inside a third
+        [{0, 1, 2}, {0, 1, 2, 3, 4}, {3, 4, 5, 6, 7}],
+    ])
+    def test_crossing_sets_rejected(self, sets):
+        inst = Instance.from_edges(8, [(0, 1, 9)])
+        dual = duals([0] * 8, [(nodes, 1) for nodes in sets])
+        constraints = [v.constraint for v in check_cut_feasibility(inst, dual).violations]
+        assert constraints == ["laminar-family"]
+        cert = transform_duals(dual, 0)
+        verdict = check_cardinality_certificate(inst, Matching.empty(), cert)
+        assert "laminar-family" in [v.constraint for v in verdict.violations]
+
+    def test_nested_and_disjoint_sets_pass(self):
+        n = 41
+        chain = [set(range(size)) for size in range(1, n + 1, 2)]
+        disjoint = [{41, 42, 43}, {44, 45, 46}, {44, 45, 46, 47, 48}]
+        inst = Instance.from_edges(49, [(0, 1, 0)])
+        dual = duals([0] * 49, [(nodes, 0) for nodes in chain[::-1] + disjoint])
+        assert check_cut_feasibility(inst, dual).passed
+        cert = transform_duals(dual, 0)
+        assert check_cardinality_certificate(inst, Matching.empty(), cert).passed
+
+    def test_violations_in_original_units(self):
+        inst = Instance.from_edges(3, [(0, 1, Fraction(1, 3))])
+        dual = duals([HALF, HALF, 0], [({0, 1, 2}, Fraction(1, 7))])
+        cert = transform_duals(dual, 0)
+        verdict = check_cardinality_certificate(inst, Matching.empty(), cert)
+        edge = [v for v in verdict.violations if v.constraint == "edge-feasibility"]
+        assert [(v.lhs, v.rhs) for v in edge] == [(Fraction(1), Fraction(1, 3))]
+        assert type(edge[0].lhs) is Fraction
 
 
 class TestVerifyRun:

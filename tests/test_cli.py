@@ -182,6 +182,27 @@ class TestVerifyCommand:
         assert "duals for 4 nodes, but the instance has 5" in err
 
 
+    def test_even_blossom_fails(self, capsys, tmp_path):
+        # The k=1 optimum is the weight-0 edge {1,2}; an even "blossom"
+        # {1,2} at pi 5 would certify the weight-10 edge {3,4} instead.
+        graph = tmp_path / "two_edges.dimacs"
+        graph.write_text("p edge 4 2\ne 1 2 0\ne 3 4 10\n")
+        zero = {"singletons": {"1": "0", "2": "0", "3": "0", "4": "0"},
+                "blossoms": [], "beta": "0"}
+        even = {"singletons": {"1": "0", "2": "0", "3": "5", "4": "5"},
+                "blossoms": [{"nodes": [1, 2], "pi": "5"}], "beta": "0"}
+        run_path = tmp_path / "run.json"
+        run_path.write_text(json.dumps({
+            "status": "no-perfect-matching", "mode": "maximum", "beta": "0",
+            "snapshots": [
+                {"k": 0, "weight": "0", "matching": [], "duals": zero},
+                {"k": 1, "weight": "10", "matching": [[3, 4]], "duals": even}]}))
+        code, out, _ = run_cli(capsys, "verify", str(graph), "--run", str(run_path))
+        assert code == 2
+        assert json.loads(out)["violations"] == [
+            {"constraint": "odd-set:k=1", "witness": [1, 2], "lhs": 2, "rhs": "odd"}]
+
+
 class TestCounterexampleCommand:
     def test_default_amounts(self, capsys):
         code, out, err = run_cli(capsys, "counterexample")

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from matchcert.engine import (EngineState, EngineStateError,
+from matchcert.engine import (AlphaResult, EngineState, EngineStateError,
                               InfeasibleUpdateError, ScriptedPolicy, _Blossom,
                               _completion, apply_dual_update, compute_alpha,
                               lift_matching, shrink_blossom, solve)
@@ -115,6 +115,12 @@ class TestComputeAlpha:
         result = compute_alpha(state)
         assert result.alpha == Fraction(3, 2)
         assert result.binding == ("edge-t-t", 6)
+
+    def test_equal_bounds_bind_the_first_edge(self):
+        inst = Instance.from_edges(4, [(0, 1, 2), (1, 2, 2), (2, 3, 2)])
+        state = EngineState(inst)
+        assert state.grow_forest() is None
+        assert compute_alpha(state) == AlphaResult(Fraction(1), ("edge-t-t", 0))
 
     def test_zero_alpha_from_blossom(self, c5_two_tails):
         # Step the run until an S-labeled blossom with dual 0 binds.
