@@ -1,4 +1,4 @@
-"""Dual certificates of cardinality-optimality, and their verification.
+"""Verification of dual certificates of cardinality-optimality.
 
 A snapshot's frozen duals transform into a certificate (gamma, y, z) for
 the linear program over matchings of a fixed cardinality k:
@@ -12,11 +12,15 @@ whose dual constrains, for every edge e = {u, v},
     y <= 0,  z <= 0.
 
 The transformation is gamma = 2 * max accumulated dual, y_v = accumulated
-dual of v minus that maximum, z_U = -2 pi(U) on blossoms. Checking dual
-feasibility plus complementary slackness against a matching of cardinality
-k proves, by weak LP duality, that the matching has minimum weight among
-all matchings of cardinality k. No LP is ever solved; every check is an
-exact rational comparison.
+dual of v minus that maximum, z_U = -2 pi(U) on blossoms. It lives in
+`matchcert.engine` beside `accumulated_pi` (`transform_duals`, cached per
+snapshot as `Snapshot.certificate`) and is re-exported here; this module
+holds the checkers, which compute from the constraint definitions and
+share no arithmetic with the builder. Checking dual feasibility plus
+complementary slackness against a matching of cardinality k proves, by
+weak LP duality, that the matching has minimum weight among all matchings
+of cardinality k. No LP is ever solved; every check is an exact
+comparison.
 """
 
 from __future__ import annotations
@@ -27,38 +31,14 @@ from itertools import chain
 from math import lcm
 from typing import Iterable
 
-from .engine import DualState, RunResult, accumulated_pi
+# CardinalityCertificate and transform_duals are re-exported: callers
+# import the builder from here, beside its checker.
+from .engine import (CardinalityCertificate, DualState, RunResult,
+                     transform_duals)
 from .graph import (Instance, Matching, alternating_path_difference,
                     matching_weight)
 
 ZERO = Fraction(0)
-
-
-@dataclass(frozen=True)
-class CardinalityCertificate:
-    """A dual solution (gamma, y, z) claiming optimality at cardinality k.
-
-    z is sparse: sets absent from it have value 0.
-    """
-
-    gamma: Fraction
-    y: tuple[Fraction, ...]
-    z: tuple[tuple[frozenset[int], Fraction], ...]
-    k: int
-
-
-def transform_duals(dual: DualState, k: int) -> CardinalityCertificate:
-    """Build the cardinality-k certificate from frozen duals.
-
-    gamma = 2 * pi_star_max, y_v = pi_star(v) - pi_star_max, and
-    z_U = -2 pi(U) on every blossom of the family. y <= 0 and z <= 0 hold
-    by construction (blossom duals are nonnegative).
-    """
-    pi_star = accumulated_pi(dual.singleton_pi, dual.blossoms)
-    pi_star_max = max(pi_star)
-    y = tuple(p - pi_star_max for p in pi_star)
-    z = tuple((b.nodes, -2 * b.pi) for b in dual.blossoms)
-    return CardinalityCertificate(2 * pi_star_max, y, z, k)
 
 
 @dataclass(frozen=True)
@@ -137,21 +117,25 @@ def check_cardinality_certificate(inst: Instance, m: Matching,
     is minimum-weight among cardinality-k matchings.
 
     The edge constraints are evaluated on integers: gamma, y, z and the
-    weights multiplied by the lcm of their denominators. Violations are
-    reported in original units.
+    weights multiplied by the lcm of their denominators. The weights come
+    scaled once per instance (`Instance.scaled_weights`) and are brought
+    to the common scale here. Violations are reported in original units.
     """
     violations = _family_violations(nodes for nodes, _ in cert.z)
 
     if len(m) != cert.k:
         violations.append(Violation("cardinality", None, len(m), cert.k))
 
-    scale = lcm(*{q.denominator for q in chain(
-        (cert.gamma,), cert.y, (zu for _, zu in cert.z), (e.weight for e in inst.edges))})
+    weight_scale, weights = inst.scaled_weights
+    scale = lcm(weight_scale, *{q.denominator for q in chain(
+        (cert.gamma,), cert.y, (zu for _, zu in cert.z))})
+    factor = scale // weight_scale
 
     def units(q: Fraction) -> int:
         return q.numerator * (scale // q.denominator)
 
-    y = [units(yv) for yv in cert.y]
+    # units() inlined: y holds one value per node, in every snapshot.
+    y = [q.numerator * (scale // q.denominator) for q in cert.y]
     z = [(nodes, units(zu)) for nodes, zu in cert.z]
     gamma = units(cert.gamma)
 
@@ -164,20 +148,20 @@ def check_cardinality_certificate(inst: Instance, m: Matching,
 
     # Sets with z = 0 add nothing to any sum.
     nonzero = [(nodes, zu) for nodes, zu in z if zu]
-    for e in inst.edges:
-        u, v = e.u, e.v
+    matched = m.edges
+    for (u, v, weight), w in zip(inst.edges, weights):
         lhs = y[u] + y[v] + gamma
         for nodes, zu in nonzero:
             if u in nodes and v in nodes:
                 lhs += zu
-        w = units(e.weight)
+        w *= factor
         if lhs > w:
             violations.append(
-                Violation("edge-feasibility", (u, v), Fraction(lhs, scale), e.weight))
-        elif lhs != w and (u, v) in m:
+                Violation("edge-feasibility", (u, v), Fraction(lhs, scale), weight))
+        elif lhs != w and (u, v) in matched:
             violations.append(
                 Violation("cs-matched-edge-tight", (u, v), Fraction(lhs, scale),
-                          e.weight))
+                          weight))
 
     for v, yv in enumerate(y):
         if yv < 0 and not m.covers(v):
@@ -198,8 +182,9 @@ def verify_run(inst: Instance, run: RunResult) -> Verdict:
     """Verify a whole run: every snapshot's certificate plus the shape of
     the snapshot sequence.
 
-    Per snapshot: recompute the certificate from the frozen duals and
-    check it against the snapshot's matching; recheck the stored weight.
+    Per snapshot: check the certificate of the frozen duals
+    (`Snapshot.certificate`, built once per snapshot) against the
+    snapshot's matching; recheck the stored weight.
     Across snapshots: cardinalities must be 0, 1, ..., K, and consecutive
     matchings must differ by a single alternating path.
     """
@@ -215,8 +200,7 @@ def verify_run(inst: Instance, run: RunResult) -> Verdict:
         if actual_weight != snap.weight:
             violations.append(
                 Violation(f"snapshot-weight:{tag}", None, snap.weight, actual_weight))
-        cert = transform_duals(snap.dual_state, snap.cardinality)
-        sub = check_cardinality_certificate(inst, snap.matching, cert)
+        sub = check_cardinality_certificate(inst, snap.matching, snap.certificate)
         for viol in sub.violations:
             violations.append(
                 Violation(f"{viol.constraint}:{tag}", viol.witness,

@@ -199,7 +199,10 @@ def _load_run(path: str, inst: Instance) -> tuple[RunResult, Instance]:
     import json
 
     with open(path, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
+        try:
+            data = json.load(handle)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply to read")
     run = jsonio.run_result_from_dict(data)
     for snap in run.snapshots:
         if len(snap.dual_state.singleton_pi) != inst.node_count:

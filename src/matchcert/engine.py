@@ -10,7 +10,9 @@ forest's S- and T-nodes, uniformly or by scripted per-tree amounts).
 Every augmentation is recorded as a Snapshot: the fully deshrunken
 matching plus a frozen copy of the duals. Those frozen duals are exactly
 what the certificate checker needs to prove each snapshot minimum-weight
-among matchings of its cardinality.
+among matchings of its cardinality. The certificate itself is built here
+too, by `transform_duals` on top of `accumulated_pi`, once per snapshot
+(`Snapshot.certificate`); `matchcert.certificates` checks it.
 
 Design notes:
 
@@ -46,6 +48,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 from typing import Callable, Iterable, Iterator, Mapping, Union
 
@@ -127,6 +130,54 @@ def accumulated_pi(base: Iterable[Fraction], sets: Iterable) -> list[Fraction]:
 
 
 @dataclass(frozen=True)
+class CardinalityCertificate:
+    """A dual solution (gamma, y, z) claiming optimality at cardinality k.
+
+    z is sparse: sets absent from it have value 0.
+    """
+
+    gamma: Fraction
+    y: tuple[Fraction, ...]
+    z: tuple[tuple[frozenset[int], Fraction], ...]
+    k: int
+
+
+def transform_duals(dual: DualState, k: int) -> CardinalityCertificate:
+    """Build the cardinality-k certificate from frozen duals.
+
+    gamma = 2 * pi_star_max, y_v = pi_star(v) - pi_star_max, and
+    z_U = -2 pi(U) on every blossom of the family. y <= 0 and z <= 0 hold
+    by construction (blossom duals are nonnegative).
+
+    The duals are scaled to ints by the lcm of their denominators, pi* is
+    accumulated on those ints, and each distinct result becomes one
+    Fraction in original units.
+    """
+    scale = lcm(*{q.denominator for q in dual.singleton_pi},
+                *{b.pi.denominator for b in dual.blossoms})
+
+    def units(q: Fraction) -> int:
+        return q.numerator * (scale // q.denominator)
+
+    fractions: dict[int, Fraction] = {}
+
+    def fraction(value: int) -> Fraction:
+        q = fractions.get(value)
+        if q is None:
+            q = fractions[value] = Fraction(value, scale)
+        return q
+
+    blossoms = [BlossomDual(b.nodes, units(b.pi)) for b in dual.blossoms]
+    pi_star = accumulated_pi(map(units, dual.singleton_pi), blossoms)
+    pi_star_max = max(pi_star)
+    return CardinalityCertificate(
+        fraction(2 * pi_star_max),
+        tuple(fraction(p - pi_star_max) for p in pi_star),
+        tuple((b.nodes, fraction(-2 * b.pi)) for b in blossoms),
+        k)
+
+
+@dataclass(frozen=True)
 class Snapshot:
     """One intermediate matching with the duals frozen at that moment."""
 
@@ -134,6 +185,11 @@ class Snapshot:
     matching: Matching
     dual_state: DualState
     weight: Fraction
+
+    @cached_property
+    def certificate(self) -> CardinalityCertificate:
+        """The cardinality certificate of these duals, built on first use."""
+        return transform_duals(self.dual_state, self.cardinality)
 
 
 @dataclass(frozen=True)

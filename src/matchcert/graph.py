@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import IO, Iterable, NamedTuple, Union
 
 RationalInput = Union[int, str, Fraction]
@@ -88,6 +89,14 @@ class Instance:
     @cached_property
     def _pair_index(self) -> dict[tuple[int, int], int]:
         return {(e.u, e.v): i for i, e in enumerate(self.edges)}
+
+    @cached_property
+    def scaled_weights(self) -> tuple[int, tuple[int, ...]]:
+        """(scale, weights * scale as ints), scale the lcm of the weight
+        denominators; computed once per instance."""
+        scale = lcm(*{e.weight.denominator for e in self.edges})
+        return scale, tuple(e.weight.numerator * (scale // e.weight.denominator)
+                            for e in self.edges)
 
     @cached_property
     def _incident(self) -> tuple[tuple[int, ...], ...]:

@@ -4,16 +4,17 @@ Conventions: node ids are 1-based in JSON, rationals serialize as strings
 ("7/2", or "3" when integral), and all collections are emitted in a fixed
 deterministic order so identical inputs produce byte-identical output.
 Readers check every key and type they use and raise ValueError on a
-malformed file.
+malformed file. `dumps` writes the same text as the standard library's
+`json.dumps(data, indent=2)`, without its pure-Python indenting encoder.
 """
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
-from typing import Any
+from json.encoder import encode_basestring_ascii
+from typing import Any, Callable
 
-from .certificates import CardinalityCertificate, Verdict, transform_duals
+from .certificates import CardinalityCertificate, Verdict
 from .engine import BlossomDual, DualState, RunResult, Snapshot
 from .graph import Matching
 from .oracle import OracleTable
@@ -76,18 +77,34 @@ def _duals_to_json(dual: DualState) -> dict[str, Any]:
     }
 
 
-def _duals_from_json(data: Any) -> DualState:
+def _rational_reader() -> Callable[[Any], Fraction]:
+    """str_to_rational with a memo keyed by the exact string, living as
+    long as the returned function: one run file repeats few values."""
+    memo: dict[str, Fraction] = {}
+
+    def read(text: Any) -> Fraction:
+        if type(text) is str:
+            value = memo.get(text)
+            if value is not None:
+                return value
+        value = memo[text] = str_to_rational(text)
+        return value
+
+    return read
+
+
+def _duals_from_json(data: Any, rational: Callable[[Any], Fraction]) -> DualState:
     singles = field(data, "singletons", dict)
     n = len(singles)
     try:
-        pi = tuple(str_to_rational(singles[str(v + 1)]) for v in range(n))
+        pi = tuple(rational(singles[str(v + 1)]) for v in range(n))
     except KeyError as exc:
         raise ValueError(f"snapshots file: no singleton dual for node {exc}")
     blossoms = tuple(
         BlossomDual(frozenset(_node_ids(field(item, "nodes", list), n)),
-                    str_to_rational(field(item, "pi", str)))
+                    rational(field(item, "pi", str)))
         for item in field(data, "blossoms", list, []))
-    beta = str_to_rational(field(data, "beta", str, "0"))
+    beta = rational(field(data, "beta", str, "0"))
     return DualState(pi, blossoms, beta)
 
 
@@ -107,19 +124,18 @@ def snapshot_to_dict(snap: Snapshot) -> dict[str, Any]:
         "weight": rational_to_str(snap.weight),
         "matching": _matching_to_json(snap.matching),
         "duals": _duals_to_json(snap.dual_state),
-        "certificate": _certificate_to_json(
-            transform_duals(snap.dual_state, snap.cardinality)),
+        "certificate": _certificate_to_json(snap.certificate),
     }
 
 
-def snapshot_from_dict(data: Any) -> Snapshot:
-    dual_state = _duals_from_json(field(data, "duals", dict))
+def _snapshot_from_dict(data: Any, rational: Callable[[Any], Fraction]) -> Snapshot:
+    dual_state = _duals_from_json(field(data, "duals", dict), rational)
     n = len(dual_state.singleton_pi)
     return Snapshot(
         cardinality=field(data, "k", int),
         matching=_matching_from_json(field(data, "matching", list), n),
         dual_state=dual_state,
-        weight=str_to_rational(field(data, "weight", str)),
+        weight=rational(field(data, "weight", str)),
     )
 
 
@@ -133,11 +149,16 @@ def run_result_to_dict(run: RunResult) -> dict[str, Any]:
 
 
 def run_result_from_dict(data: Any) -> RunResult:
+    snapshots = field(data, "snapshots", list)
+    if not snapshots:
+        raise ValueError("snapshots file: 'snapshots' is empty; "
+                         "every run has a k=0 snapshot")
+    rational = _rational_reader()
     return RunResult(
-        snapshots=tuple(snapshot_from_dict(s) for s in field(data, "snapshots", list)),
+        snapshots=tuple(_snapshot_from_dict(s, rational) for s in snapshots),
         status=field(data, "status", str),
         mode=field(data, "mode", str, "maximum"),
-        beta=str_to_rational(field(data, "beta", str, "0")),
+        beta=rational(field(data, "beta", str, "0")),
     )
 
 
@@ -189,5 +210,44 @@ def verdict_to_dict(verdict: Verdict) -> dict[str, Any]:
 
 
 def dumps(data: dict[str, Any]) -> str:
-    """Deterministic JSON text: fixed key order, two-space indent."""
-    return json.dumps(data, indent=2) + "\n"
+    """Deterministic JSON text: fixed key order, two-space indent.
+
+    The text equals `json.dumps(data, indent=2) + "\n"`. Each dict and
+    list is joined into its own string, which avoids the standard
+    library's pure-Python indenting encoder and the one list of chunks it
+    collects for the whole document. Values may be str, int, bool, None,
+    lists, tuples and dicts with str keys; anything else is a TypeError.
+    """
+    return _encode(data, "\n") + "\n"
+
+
+def _encode(value: Any, newline: str) -> str:
+    """JSON text of one value whose line starts with `newline`."""
+    if type(value) is str:
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = newline + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = []
+        for key, item in value.items():
+            if type(key) is not str:
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            items.append(encode_basestring_ascii(key) + ": "
+                         + (encode_basestring_ascii(item) if type(item) is str
+                            else _encode(item, inner)))
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        return ("[" + inner + ("," + inner).join([_encode(item, inner) for item in value])
+                + newline + "]")
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")

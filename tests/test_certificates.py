@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from matchcert.certificates import (check_cardinality_certificate,
+from matchcert.certificates import (CardinalityCertificate,
+                                    check_cardinality_certificate,
                                     check_cut_feasibility, transform_duals,
                                     verify_run)
 from matchcert.engine import (BlossomDual, DualState, ScriptedPolicy,
@@ -14,6 +15,7 @@ from matchcert.oracle import min_weight_by_cardinality
 from util import random_instance
 
 HALF = Fraction(1, 2)
+ZERO = Fraction(0)
 
 
 def duals(singles, blossoms=()) -> DualState:
@@ -48,6 +50,15 @@ def random_laminar_duals(rng: random.Random, n: int,
 
 def accumulate(dual: DualState) -> list[Fraction]:
     return accumulated_pi(dual.singleton_pi, dual.blossoms)
+
+
+def fraction_transform(dual: DualState, k: int) -> CardinalityCertificate:
+    """The certificate by its definition, in Fraction arithmetic."""
+    pi_star = accumulate(dual)
+    top = max(pi_star)
+    return CardinalityCertificate(
+        2 * top, tuple(p - top for p in pi_star),
+        tuple((b.nodes, -2 * b.pi) for b in dual.blossoms), k)
 
 
 class TestAccumulateDuals:
@@ -85,6 +96,25 @@ class TestTransformDuals:
         assert cert.gamma == 1
         assert cert.y == (0, 0, 0)
         assert cert.z == ((frozenset({0, 1, 2}), -1),)
+
+    def test_matches_fraction_definition(self):
+        third, seventh = Fraction(1, 3), Fraction(1, 7)
+        cases = [
+            duals([HALF, third, -2 * seventh, Fraction(5, 6), -3]),
+            duals([-third, 0, 2 * seventh, -1, HALF],
+                  [({0, 1, 2}, 0), ({0, 1, 2, 3, 4}, 3 * seventh)]),
+            duals([0, Fraction(-5, 2), 1, third, 0],
+                  [({0, 1, 2}, 2 * third), ({0, 1, 2, 3, 4}, 0)]),
+            duals([-seventh, -HALF, -third, 0, 0, 1, 1],
+                  [({0, 1, 2}, seventh), ({0, 1, 2, 3, 4}, third), ({4, 5, 6}, HALF)]),
+        ]
+        rng = random.Random(8)
+        cases += [random_laminar_duals(rng, rng.randint(1, 12)) for _ in range(30)]
+        for dual in cases:
+            cert = transform_duals(dual, 2)
+            assert cert == fraction_transform(dual, 2)
+            values = (cert.gamma, *cert.y, *(zu for _, zu in cert.z))
+            assert all(type(q) is Fraction for q in values)
 
     def test_always_nonpositive(self):
         rng = random.Random(5)
@@ -209,6 +239,20 @@ class TestFamilyChecks:
         assert check_cut_feasibility(inst, dual).passed
         cert = transform_duals(dual, 0)
         assert check_cardinality_certificate(inst, Matching.empty(), cert).passed
+
+    def test_certificate_finer_than_weights(self):
+        # Integer weights, a certificate in thirds: the cached int weights
+        # must be brought to the certificate's scale.
+        inst = Instance.from_edges(3, [(0, 1, 1), (1, 2, 1)])
+        m = Matching.from_pairs([(0, 1)])
+        third = Fraction(1, 3)
+        cert = CardinalityCertificate(4 * third, (ZERO, -third, ZERO), (), 1)
+        assert check_cardinality_certificate(inst, m, cert).passed
+        verdict = check_cardinality_certificate(inst, m, replace(cert, gamma=5 * third))
+        assert [(v.constraint, v.witness, v.lhs, v.rhs) for v in verdict.violations] == [
+            ("edge-feasibility", (0, 1), 4 * third, 1),
+            ("edge-feasibility", (1, 2), 4 * third, 1)]
+        assert all(type(v.lhs) is Fraction for v in verdict.violations)
 
     def test_violations_in_original_units(self):
         inst = Instance.from_edges(3, [(0, 1, Fraction(1, 3))])

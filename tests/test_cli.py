@@ -92,6 +92,19 @@ class TestSolveCommand:
         _, out2, _ = run_cli(capsys, "solve", p4_file, "--verify")
         assert out1 == out2
 
+    def test_verify_builds_each_certificate_once(self, capsys, monkeypatch, p4_file):
+        # The emitted certificate block and the check share one build.
+        from matchcert import certificates, engine
+        built = []
+        transform = engine.transform_duals
+        for module in (engine, certificates):
+            monkeypatch.setattr(module, "transform_duals",
+                                lambda dual, k: built.append(k) or transform(dual, k))
+        code, out, _ = run_cli(capsys, "solve", p4_file, "--verify")
+        assert code == 0
+        assert json.loads(out)["verification"]["pass"] is True
+        assert built == [0, 1, 2]
+
 
 def verify_tampered(capsys, tmp_path, instance_file, tamper):
     """Solve P4, edit the snapshots file with `tamper`, then verify it
@@ -181,6 +194,24 @@ class TestVerifyCommand:
         assert out == ""
         assert "duals for 4 nodes, but the instance has 5" in err
 
+
+    def test_deeply_nested_file_is_input_error(self, capsys, tmp_path, p4_file):
+        run_path = tmp_path / "deep.json"
+        run_path.write_text("[" * 200000 + "]" * 200000)
+        for argv in (["verify", p4_file, "--run", str(run_path)],
+                     ["reduce", p4_file, "--auxiliary", f"{run_path}:1"]):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 3
+            assert out == ""
+            assert "nested too deeply" in err
+
+    def test_empty_run_is_input_error(self, capsys, tmp_path, p4_file):
+        run_path = tmp_path / "empty.json"
+        run_path.write_text(json.dumps({"status": "perfect-found", "snapshots": []}))
+        code, out, err = run_cli(capsys, "verify", p4_file, "--run", str(run_path))
+        assert code == 3
+        assert out == ""
+        assert "'snapshots' is empty" in err
 
     def test_even_blossom_fails(self, capsys, tmp_path):
         # The k=1 optimum is the weight-0 edge {1,2}; an even "blossom"
