@@ -33,8 +33,8 @@ from typing import Iterable
 
 # CardinalityCertificate and transform_duals are re-exported: callers
 # import the builder from here, beside its checker.
-from .engine import (CardinalityCertificate, DualState, RunResult,
-                     transform_duals)
+from .engine import (STATUS_PERFECT, CardinalityCertificate, DualState,
+                     RunResult, transform_duals)
 from .graph import (Instance, Matching, alternating_path_difference,
                     matching_weight)
 
@@ -87,6 +87,13 @@ def _family_violations(sets: Iterable[frozenset[int]]) -> list[Violation]:
     return violations
 
 
+def non_edge_violations(inst: Instance, m: Matching) -> list[Violation]:
+    """One `matching-edge` violation per matched pair that is not an edge
+    of the instance, in ascending pair order."""
+    return [Violation("matching-edge", pair, "not an edge", "edge")
+            for pair in sorted(p for p in m.edges if not inst.has_edge(*p))]
+
+
 def check_cut_feasibility(inst: Instance, dual: DualState) -> Verdict:
     """Check the cut-form dual constraints exactly.
 
@@ -109,12 +116,13 @@ def check_cardinality_certificate(inst: Instance, m: Matching,
                                   cert: CardinalityCertificate) -> Verdict:
     """Check feasibility and complementary slackness, all exactly.
 
-    Checks: the z sets form a laminar family of odd sets; the matching has
-    cardinality cert.k; every edge satisfies the dual constraint (F1); y
-    and z are nonpositive (F2); matched edges make (F1) tight (CS1); nodes
-    with negative y are matched (CS2); sets with negative z contain
-    exactly (|U|-1)/2 matching edges (CS3). A passing verdict certifies m
-    is minimum-weight among cardinality-k matchings.
+    Checks: the z sets form a laminar family of odd sets; every matched
+    pair is an edge of the instance; the matching has cardinality cert.k;
+    every edge satisfies the dual constraint (F1); y and z are nonpositive
+    (F2); matched edges make (F1) tight (CS1); nodes with negative y are
+    matched (CS2); sets with negative z contain exactly (|U|-1)/2 matching
+    edges (CS3). A passing verdict certifies m is minimum-weight among
+    cardinality-k matchings.
 
     The edge constraints are evaluated on integers: gamma, y, z and the
     weights multiplied by the lcm of their denominators. The weights come
@@ -122,6 +130,7 @@ def check_cardinality_certificate(inst: Instance, m: Matching,
     to the common scale here. Violations are reported in original units.
     """
     violations = _family_violations(nodes for nodes, _ in cert.z)
+    violations += non_edge_violations(inst, m)
 
     if len(m) != cert.k:
         violations.append(Violation("cardinality", None, len(m), cert.k))
@@ -186,7 +195,9 @@ def verify_run(inst: Instance, run: RunResult) -> Verdict:
     (`Snapshot.certificate`, built once per snapshot) against the
     snapshot's matching; recheck the stored weight.
     Across snapshots: cardinalities must be 0, 1, ..., K, and consecutive
-    matchings must differ by a single alternating path.
+    matchings must differ by a single alternating path. The run's status
+    must agree with its last matching: `perfect-found` exactly when that
+    matching covers all n nodes.
     """
     violations: list[Violation] = []
 
@@ -212,5 +223,9 @@ def verify_run(inst: Instance, run: RunResult) -> Verdict:
             violations.append(
                 Violation(f"consecutive-single-path:k={nxt.cardinality}",
                           diff.components, diff.kind, "single-path"))
+
+    covered = 2 * len(run.final.matching)
+    if (covered == inst.node_count) != (run.status == STATUS_PERFECT):
+        violations.append(Violation("run-status", run.status, covered, inst.node_count))
 
     return _verdict(violations)

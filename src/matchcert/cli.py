@@ -17,7 +17,7 @@ from typing import Any, Sequence
 from . import certificates, jsonio, oracle, reductions
 from .engine import RunResult, ScriptedPolicy, UNIFORM, solve
 from .graph import (Instance, ParseError, format_instance, normalize_weights,
-                    parse_instance)
+                    parse_instance, parse_rational)
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
@@ -123,14 +123,14 @@ def _parse_amounts_file(path: str) -> ScriptedPolicy:
             line = raw.strip()
             if not line or line.startswith("c"):
                 continue
-            phases.append(tuple(Fraction(tok) for tok in line.replace(",", " ").split()))
+            phases.append(_parse_amounts_option(line))
     if not phases:
         raise ValueError(f"no dual-update phases found in {path}")
     return ScriptedPolicy(tuple(phases))
 
 
 def _parse_amounts_option(text: str) -> tuple[Fraction, ...]:
-    return tuple(Fraction(tok) for tok in text.replace(",", " ").split())
+    return tuple(parse_rational(tok) for tok in text.replace(",", " ").split())
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
@@ -145,7 +145,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         raise ValueError(f"unknown policy {args.policy!r}; "
                          "use 'uniform' or 'scripted=<amounts-file>'")
 
-    run = solve(normalized, mode=args.mode, policy=policy, beta=Fraction(args.beta))
+    run = solve(normalized, mode=args.mode, policy=policy, beta=parse_rational(args.beta))
     payload = jsonio.run_result_to_dict(run)
     if record.shift != 0:
         payload["normalization"] = {"shift": jsonio.rational_to_str(record.shift)}

@@ -24,6 +24,10 @@ Design notes:
   * All structure caches (shrunken view, forest) are rebuilt from scratch
     after every mutation. Instances here are desk-scale; correctness and
     auditability win over asymptotics.
+  * A view node's id is the smallest original node it contains. Each
+    blossom record computes this id once, as its `key`; the view's `top`
+    maps every original node to the id of its maximal set, and every
+    lookup by view node goes through one of the two.
   * Numeric domain: inside the engine every weight and dual is a plain
     int, in units of 1/D. D starts as 2 * lcm of the denominators of all
     weights and beta, so on such inputs every dual stays a multiple of
@@ -52,7 +56,7 @@ from functools import cached_property
 from math import gcd, lcm
 from typing import Callable, Iterable, Iterator, Mapping, Union
 
-from .graph import Instance, Matching, RationalInput, as_rational, matching_weight
+from .graph import Instance, Matching, RationalInput, as_rational
 
 ZERO = Fraction(0)
 
@@ -255,12 +259,13 @@ DualPolicy = Union[UniformPolicy, ScriptedPolicy]
 class ShrunkenView:
     """The shrunken graph: one node per maximal set, tight edges only.
 
-    Node ids are the smallest original node of each maximal set.
-    tight_edges lists (edge_index, view_u, view_v) in input order.
+    Node ids are the smallest original node of each maximal set, and
+    top[v] is the id of the one holding original node v. tight_edges
+    lists (edge_index, view_u, view_v) in input order.
     """
 
     nodes: tuple[int, ...]
-    members: dict[int, frozenset[int]]
+    top: list[int]
     tight_edges: tuple[tuple[int, int, int], ...]
 
 
@@ -309,13 +314,15 @@ class AlphaResult:
 
 class _Blossom:
     """A shrunken odd cycle. cycle[0] is the base constituent; cycle_edges[i]
-    is the original edge joining cycle[i] and cycle[(i+1) % len]. pi is
-    the blossom's dual in the engine's integer units."""
+    is the original edge joining cycle[i] and cycle[(i+1) % len]. key is
+    the blossom's view id, its smallest node; pi is its dual in the
+    engine's integer units."""
 
-    __slots__ = ("nodes", "pi", "cycle", "cycle_edges")
+    __slots__ = ("nodes", "key", "pi", "cycle", "cycle_edges")
 
     def __init__(self, nodes: frozenset[int], cycle: list, cycle_edges: list[Pair]):
         self.nodes = nodes
+        self.key = min(nodes)
         self.pi = 0
         self.cycle = cycle
         self.cycle_edges = cycle_edges
@@ -325,6 +332,13 @@ class _Blossom:
             if node in (c.nodes if isinstance(c, _Blossom) else (c,)):
                 return i
         raise ValueError(f"node {node} not inside blossom {sorted(self.nodes)}")
+
+    def matched_positions(self, free: int) -> Iterator[int]:
+        """Positions i of the cycle edges matched inside this blossom when
+        constituent `free` is the one left uncovered."""
+        size = len(self.cycle)
+        for t in range((size - 1) // 2):
+            yield (free + 1 + 2 * t) % size
 
     def descendants(self) -> Iterator["_Blossom"]:
         """This record and every nested one, parents before children."""
@@ -345,8 +359,7 @@ def _completion(rec: _Blossom, entry: int | None) -> set[Pair]:
         rec, entry = pending.pop()
         size = len(rec.cycle)
         j = 0 if entry is None else rec.constituent_index(entry)
-        for t in range((size - 1) // 2):
-            i = (j + 1 + 2 * t) % size
+        for i in rec.matched_positions(j):
             pair = rec.cycle_edges[i]
             out.add(pair)
             for c in (rec.cycle[i], rec.cycle[(i + 1) % size]):
@@ -398,8 +411,6 @@ class EngineState:
         self._view: ShrunkenView | None = None
         self._forest: ForestLabels | None = None
         self._walk: AlternatingWalk | None = None
-        self._forest_grown = False
-        self._top: dict[int, int] | None = None
 
     # -- caching ------------------------------------------------------------
 
@@ -407,8 +418,6 @@ class EngineState:
         self._view = None
         self._forest = None
         self._walk = None
-        self._forest_grown = False
-        self._top = None
 
     # -- dual arithmetic ----------------------------------------------------
 
@@ -451,47 +460,27 @@ class EngineState:
 
     # -- structure ----------------------------------------------------------
 
-    def top_map(self) -> dict[int, int]:
-        """Original node -> id of its maximal set (its view node)."""
-        if self._top is None:
-            top = {v: v for v in range(self.inst.node_count)}
-            for rec in self.blossoms:
-                key = min(rec.nodes)
-                for v in rec.nodes:
-                    top[v] = key
-            self._top = top
-        return self._top
-
-    def top_record(self, key: int) -> Union[_Blossom, int]:
-        for rec in self.blossoms:
-            if min(rec.nodes) == key:
-                return rec
-        return key
-
     def shrunken_view(self) -> ShrunkenView:
         if self._view is not None:
             return self._view
-        top = self.top_map()
-        members: dict[int, frozenset[int]] = {
-            v: frozenset((v,)) for v in range(self.inst.node_count)}
+        top = list(range(self.inst.node_count))
         for rec in self.blossoms:
-            key = min(rec.nodes)
-            members[key] = rec.nodes
+            key = rec.key
             for v in rec.nodes:
-                if v != key:
-                    del members[v]
+                top[v] = key
         pi_star = self._pi_star
         tight = []
         for i, (e, w) in enumerate(zip(self.inst.edges, self._weights)):
             ku, kv = top[e.u], top[e.v]
             if ku != kv and pi_star[e.u] + pi_star[e.v] == w:
                 tight.append((i, ku, kv))
-        self._view = ShrunkenView(tuple(sorted(members)), members, tuple(tight))
+        nodes = tuple(v for v, key in enumerate(top) if v == key)
+        self._view = ShrunkenView(nodes, top, tuple(tight))
         return self._view
 
     def view_mates(self) -> dict[int, tuple[int, int]]:
         """View node -> (mate view node, crossing edge index)."""
-        top = self.top_map()
+        top = self.shrunken_view().top
         mates: dict[int, tuple[int, int]] = {}
         for u, v in self.crossing:
             ku, kv = top[u], top[v]
@@ -504,16 +493,16 @@ class EngineState:
         return mates
 
     def exposed_view_keys(self) -> tuple[int, ...]:
-        mates = self.view_mates()
-        return tuple(k for k in self.shrunken_view().nodes if k not in mates)
+        return self.forest_labels().roots
 
-    def crossing_edge_at(self, nodes: frozenset[int]) -> Pair | None:
-        """The stored matching edge with exactly one endpoint in `nodes`."""
+    def covered_node(self, nodes: frozenset[int]) -> int | None:
+        """The node of `nodes` covered by the stored matching edge that
+        leaves the set, or None when no such edge exists."""
         found = None
         for u, v in self.crossing:
             if (u in nodes) != (v in nodes):
                 assert found is None, "two matching edges leave one blossom"
-                found = (u, v)
+                found = u if u in nodes else v
         return found
 
     # -- forest growth ------------------------------------------------------
@@ -526,7 +515,7 @@ class EngineState:
         blossom), or None when the forest is complete and a dual update
         is due. The labels remain available via forest_labels().
         """
-        if self._forest_grown:
+        if self._forest is not None:
             return self._walk
         view = self.shrunken_view()
         mates = self.view_mates()
@@ -567,9 +556,8 @@ class EngineState:
                 root[mate_key] = root[u]
                 pending.add(mate_key)
 
-        self._forest = ForestLabels(label, parent, root, tuple(sorted(roots)))
+        self._forest = ForestLabels(label, parent, root, roots)
         self._walk = walk
-        self._forest_grown = True
         return walk
 
     def _build_walk(self, u: int, w: int, closing_edge: int,
@@ -626,8 +614,7 @@ class EngineState:
     # -- snapshots ------------------------------------------------------------
 
     def frozen_duals(self) -> DualState:
-        records = list(self._records())
-        records.sort(key=lambda r: (min(r.nodes), len(r.nodes)))
+        records = sorted(self._records(), key=lambda r: (r.key, len(r.nodes)))
         return DualState(
             tuple(self.pi_node),
             tuple(BlossomDual(r.nodes, self._fraction(r.pi)) for r in records),
@@ -635,7 +622,9 @@ class EngineState:
 
     def snapshot(self) -> Snapshot:
         m = lift_matching(self)
-        return Snapshot(len(m), m, self.frozen_duals(), matching_weight(self.inst, m))
+        weights, edge_index = self._weights, self.inst.edge_index
+        total = sum(weights[edge_index(u, v)] for u, v in m.edges)
+        return Snapshot(len(m), m, self.frozen_duals(), Fraction(total, self._scale))
 
 
 # ---------------------------------------------------------------------------
@@ -651,12 +640,7 @@ def lift_matching(state: EngineState) -> Matching:
     """
     edges: set[Pair] = set(state.crossing)
     for rec in state.blossoms:
-        external = state.crossing_edge_at(rec.nodes)
-        if external is None:
-            entry = None
-        else:
-            entry = external[0] if external[0] in rec.nodes else external[1]
-        edges |= _completion(rec, entry)
+        edges |= _completion(rec, state.covered_node(rec.nodes))
     return Matching(frozenset(edges))
 
 
@@ -682,16 +666,14 @@ def shrink_blossom(state: EngineState, walk: AlternatingWalk) -> EngineState:
     cycle_eidx = list(edges[strip:last - strip])
     assert len(cycle_keys) % 2 == 1 and len(cycle_keys) >= 3
 
+    records = {rec.key: rec for rec in state.blossoms}
     cycle: list = []
     node_union: set[int] = set()
     for key in cycle_keys:
-        item = state.top_record(key)
+        item = records.get(key, key)
         cycle.append(item)
         node_union |= item.nodes if isinstance(item, _Blossom) else {key}
-    cycle_pairs: list[Pair] = []
-    for eidx in cycle_eidx:
-        e = state.inst.edges[eidx]
-        cycle_pairs.append((e.u, e.v))
+    cycle_pairs: list[Pair] = [state.inst.edges[i][:2] for i in cycle_eidx]
 
     # The matched cycle edges sit at odd positions; they move from the
     # stored matching into the derived interior.
@@ -722,14 +704,14 @@ def compute_alpha(state: EngineState) -> AlphaResult:
     """
     labels = state._require_clean_forest()
     label = labels.label
-    top = state.top_map()
+    top = state.shrunken_view().top
     pi_star = state._pi_star
 
     best: int | None = None
     binding: tuple | None = None
 
     for rec in state.blossoms:
-        if label.get(min(rec.nodes)) == LABEL_S:
+        if label.get(rec.key) == LABEL_S:
             bound = 2 * rec.pi
             if best is None or bound < best:
                 best, binding = bound, ("blossom-nonneg", rec.nodes)
@@ -785,7 +767,7 @@ def apply_dual_update(state: EngineState,
         delta[key] = amount if lbl == LABEL_T else -amount
 
     # Validate nonnegativity of blossom duals.
-    tops = {min(rec.nodes): rec for rec in state.blossoms}
+    tops = {rec.key: rec for rec in state.blossoms}
     for key, rec in tops.items():
         if key in delta:
             new_pi = rec.pi + delta[key]
@@ -794,7 +776,7 @@ def apply_dual_update(state: EngineState,
                                             Fraction(new_pi, state._scale), ZERO)
 
     # Validate the edge constraints. Only edges whose load grows can break.
-    top = state.top_map()
+    top = state.shrunken_view().top
     pi_star = state._pi_star
     for i, (e, w) in enumerate(zip(state.inst.edges, state._weights)):
         ku, kv = top[e.u], top[e.v]
@@ -823,14 +805,11 @@ def apply_dual_update(state: EngineState,
 
     # Deshrink maximal S-labeled blossoms whose dual is now 0.
     for rec in [b for b in state.blossoms
-                if labels.label.get(min(b.nodes)) == LABEL_S and b.pi == 0]:
-        external = state.crossing_edge_at(rec.nodes)
-        assert external is not None, "S-labeled blossom must be matched"
-        entry = external[0] if external[0] in rec.nodes else external[1]
-        size = len(rec.cycle)
-        j = rec.constituent_index(entry)
-        for t in range((size - 1) // 2):
-            state.crossing.add(rec.cycle_edges[(j + 1 + 2 * t) % size])
+                if labels.label.get(b.key) == LABEL_S and b.pi == 0]:
+        entry = state.covered_node(rec.nodes)
+        assert entry is not None, "S-labeled blossom must be matched"
+        for i in rec.matched_positions(rec.constituent_index(entry)):
+            state.crossing.add(rec.cycle_edges[i])
         state.blossoms.remove(rec)
         state.blossoms.extend(c for c in rec.cycle if isinstance(c, _Blossom))
 
@@ -907,7 +886,7 @@ def solve(inst: Instance,
 
 def _bind_amounts(labels: ForestLabels,
                   amounts: tuple[Fraction, ...]) -> dict[int, Fraction]:
-    roots = sorted(labels.roots)
+    roots = labels.roots
     if len(amounts) > len(roots):
         raise ValueError(
             f"scripted phase lists {len(amounts)} amounts but the forest has "

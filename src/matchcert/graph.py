@@ -11,6 +11,7 @@ format and in all JSON output.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -21,12 +22,29 @@ RationalInput = Union[int, str, Fraction]
 
 ZERO = Fraction(0)
 
+_RATIONAL = re.compile(r"[+-]?[0-9]+(?:\.[0-9]+|/[0-9]+)?")
+
+
+def parse_rational(text: str) -> Fraction:
+    """An exact rational written as an integer, a decimal or a fraction
+    (`3`, `-2.5`, `7/2`). Anything else, exponents and whitespace
+    included, raises ValueError, as does a zero denominator."""
+    if _RATIONAL.fullmatch(text) is None:
+        raise ValueError(f"invalid rational {text!r}")
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}")
+
 
 def as_rational(value: RationalInput) -> Fraction:
-    """Convert to an exact Fraction, rejecting floats outright."""
+    """Convert to an exact Fraction, rejecting floats outright; strings
+    follow `parse_rational`'s grammar."""
     if isinstance(value, float):
         raise TypeError(f"floating point value {value!r} is not exact; "
                         "pass an int, a Fraction, or a string like '7/2'")
+    if isinstance(value, str):
+        return parse_rational(value)
     return Fraction(value)
 
 
@@ -367,8 +385,8 @@ def parse_instance(source: Union[str, IO[str], Iterable[str]]) -> Instance:
             except ValueError:
                 raise ParseError(f"non-integer node id in {line!r}", lineno)
             try:
-                w = Fraction(fields[3])
-            except (ValueError, ZeroDivisionError):
+                w = parse_rational(fields[3])
+            except ValueError:
                 raise ParseError(f"invalid weight {fields[3]!r}", lineno)
             if u == v:
                 raise ParseError(f"self-loop at node {u}", lineno)

@@ -15,8 +15,9 @@ from json.encoder import encode_basestring_ascii
 from typing import Any, Callable
 
 from .certificates import CardinalityCertificate, Verdict
-from .engine import BlossomDual, DualState, RunResult, Snapshot
-from .graph import Matching
+from .engine import (STATUS_NO_PERFECT, STATUS_PERFECT, BlossomDual, DualState,
+                     RunResult, Snapshot)
+from .graph import Matching, parse_rational
 from .oracle import OracleTable
 
 
@@ -27,10 +28,7 @@ def rational_to_str(value: Fraction) -> str:
 def str_to_rational(text: str) -> Fraction:
     if type(text) is not str:
         raise ValueError(f"expected a rational as a string, got {text!r}")
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {text!r}")
+    return parse_rational(text)
 
 
 def field(data: Any, key: str, kind: type, default: Any = None) -> Any:
@@ -153,11 +151,17 @@ def run_result_from_dict(data: Any) -> RunResult:
     if not snapshots:
         raise ValueError("snapshots file: 'snapshots' is empty; "
                          "every run has a k=0 snapshot")
+    status = field(data, "status", str)
+    if status not in (STATUS_PERFECT, STATUS_NO_PERFECT):
+        raise ValueError(f"snapshots file: unknown status {status!r}")
+    mode = field(data, "mode", str, "maximum")
+    if mode not in ("perfect", "maximum"):
+        raise ValueError(f"snapshots file: unknown mode {mode!r}")
     rational = _rational_reader()
     return RunResult(
         snapshots=tuple(_snapshot_from_dict(s, rational) for s in snapshots),
-        status=field(data, "status", str),
-        mode=field(data, "mode", str, "maximum"),
+        status=status,
+        mode=mode,
         beta=rational(field(data, "beta", str, "0")),
     )
 

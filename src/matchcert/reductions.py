@@ -18,7 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .certificates import Verdict, Violation, check_cut_feasibility
+from .certificates import (Verdict, Violation, check_cut_feasibility,
+                           non_edge_violations)
 from .engine import DualState, Snapshot, accumulated_pi
 from .graph import Edge, Instance, Matching
 
@@ -101,8 +102,9 @@ def build_auxiliary_completion(inst: Instance, snapshot: Snapshot) -> AuxiliaryC
 def check_perfect_certificate(comp: AuxiliaryCompletion) -> Verdict:
     """Check that the completion's duals certify its perfect matching.
 
-    Exact checks: the matching is perfect; the cut-form dual constraints
-    hold (check_cut_feasibility); every matched edge is tight; and every
+    Exact checks: the matching is perfect; every matched pair is an edge
+    of the extended graph; the cut-form dual constraints hold
+    (check_cut_feasibility); every matched edge is tight; and every
     blossom with positive dual is left by exactly one matching edge. A
     pass certifies the extended matching is a minimum-weight perfect
     matching of the extended graph.
@@ -116,13 +118,19 @@ def check_perfect_certificate(comp: AuxiliaryCompletion) -> Verdict:
             "a perfect matching is required")
 
     violations = list(check_cut_feasibility(inst, dual).violations)
+    matched_edges = 0
     for e in inst.edges:
         if (e.u, e.v) in m:
+            matched_edges += 1
             load = dual.edge_load(e.u, e.v)
             # A load above the weight is already an edge-load violation.
             if load < e.weight:
                 violations.append(
                     Violation("cs-matched-edge-tight", (e.u, e.v), load, e.weight))
+    # The scan meets every matched pair that is an edge; only when it
+    # missed one is the extended graph's pair index worth building.
+    if matched_edges != len(m):
+        violations += non_edge_violations(inst, m)
 
     for b in dual.blossoms:
         if b.pi > 0:

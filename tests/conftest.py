@@ -1,7 +1,16 @@
+import os
+from pathlib import Path
+
 import pytest
 
 from matchcert.cli import figure2_instance
 from matchcert.graph import Instance
+
+# pyproject's `pythonpath` puts src/ on this process's path; commands the
+# tests start as subprocesses need it too.
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
 
 
 @pytest.fixture

@@ -8,8 +8,8 @@ from matchcert.certificates import (CardinalityCertificate,
                                     check_cardinality_certificate,
                                     check_cut_feasibility, transform_duals,
                                     verify_run)
-from matchcert.engine import (BlossomDual, DualState, ScriptedPolicy,
-                              accumulated_pi, solve)
+from matchcert.engine import (STATUS_NO_PERFECT, STATUS_PERFECT, BlossomDual,
+                              DualState, ScriptedPolicy, accumulated_pi, solve)
 from matchcert.graph import Instance, Matching
 from matchcert.oracle import min_weight_by_cardinality
 from util import random_instance
@@ -189,6 +189,16 @@ class TestCardinalityCertificate:
         verdict = check_cardinality_certificate(p4, Matching.empty(), cert)
         assert [v.constraint for v in verdict.violations] == ["cardinality"]
 
+    def test_non_edge_in_matching_reported(self):
+        # Path 1-2-3: the snapshot's k=1 certificate, checked against the
+        # pair {1, 3}, which is not an edge.
+        path = Instance.from_edges(3, [(0, 1, 1), (1, 2, 1)])
+        cert = solve(path).snapshots[1].certificate
+        verdict = check_cardinality_certificate(
+            path, Matching.from_pairs([(0, 2)]), cert)
+        assert [(v.constraint, v.witness) for v in verdict.violations] == \
+            [("matching-edge", (0, 2))]
+
     def test_gamma_bump_breaks_matched_edges(self, p4):
         run = solve(p4)
         snap = run.snapshots[2]
@@ -287,6 +297,22 @@ class TestVerifyRun:
         verdict = verify_run(p4, tampered)
         assert any(v.constraint.startswith("snapshot-weight")
                    for v in verdict.violations)
+
+    def test_status_must_agree_with_final_matching(self, p4):
+        run = solve(p4)
+        assert run.status == STATUS_PERFECT
+        verdict = verify_run(p4, replace(run, status=STATUS_NO_PERFECT))
+        assert [(v.constraint, v.witness, v.lhs, v.rhs)
+                for v in verdict.violations] == \
+            [("run-status", STATUS_NO_PERFECT, 4, 4)]
+
+        path5 = Instance.from_edges(5, [(0, 1, 3), (1, 2, 1), (2, 3, 5), (3, 4, 2)])
+        run = solve(path5)
+        assert run.status == STATUS_NO_PERFECT and verify_run(path5, run).passed
+        verdict = verify_run(path5, replace(run, status=STATUS_PERFECT))
+        assert [(v.constraint, v.witness, v.lhs, v.rhs)
+                for v in verdict.violations] == \
+            [("run-status", STATUS_PERFECT, 4, 5)]
 
     def test_soundness_against_oracle(self):
         # A passing certificate means the snapshot weight equals the

@@ -76,6 +76,21 @@ class TestSolveCommand:
         assert code == 0
         assert json.loads(out)["beta"] == "1/2"
 
+    def test_exponent_beta_is_input_error(self, capsys, p4_file):
+        code, out, err = run_cli(capsys, "solve", p4_file, "--beta", "1e9")
+        assert code == 3
+        assert out == ""
+        assert "invalid rational '1e9'" in err
+
+    def test_exponent_weight_is_input_error(self, capsys, tmp_path):
+        # Fraction() would expand the exponent into a huge integer.
+        path = tmp_path / "exp.dimacs"
+        path.write_text("p edge 3 2\ne 1 2 1e99999999\ne 2 3 1\n")
+        code, out, err = run_cli(capsys, "solve", str(path))
+        assert code == 3
+        assert out == ""
+        assert "line 2: invalid weight" in err
+
     def test_input_error_exit(self, capsys, tmp_path):
         path = tmp_path / "bad.dimacs"
         path.write_text("p edge 2 1\ne 1 1 0\n")
@@ -195,6 +210,38 @@ class TestVerifyCommand:
         assert "duals for 4 nodes, but the instance has 5" in err
 
 
+    def test_exponent_rational_is_input_error(self, capsys, tmp_path, p4_file):
+        def exponent_weight(data):
+            data["snapshots"][1]["weight"] = "1e99999999"
+        code, out, err = verify_tampered(capsys, tmp_path, p4_file, exponent_weight)
+        assert code == 3
+        assert out == ""
+        assert "invalid rational" in err
+
+    @pytest.mark.parametrize("key, value", [("status", "banana"), ("mode", "whatever")])
+    def test_unknown_status_or_mode_is_input_error(self, capsys, tmp_path, p4_file,
+                                                   key, value):
+        def rewrite(data):
+            data[key] = value
+        code, out, err = verify_tampered(capsys, tmp_path, p4_file, rewrite)
+        assert code == 3
+        assert out == ""
+        assert f"unknown {key} {value!r}" in err
+
+    def test_status_contradicting_final_matching_fails(self, capsys, tmp_path):
+        # Path 1-2-3-4-5 has no perfect matching.
+        path = tmp_path / "p5.dimacs"
+        path.write_text("p edge 5 4\ne 1 2 3\ne 2 3 1\ne 3 4 5\ne 4 5 2\n")
+        run_path = tmp_path / "run.json"
+        run_cli(capsys, "solve", str(path), "--snapshots", str(run_path))
+        data = json.loads(run_path.read_text())
+        assert data["status"] == "no-perfect-matching"
+        data["status"] = "perfect-found"
+        run_path.write_text(json.dumps(data))
+        code, out, _ = run_cli(capsys, "verify", str(path), "--run", str(run_path))
+        assert code == 2
+        assert witnesses(out, "run-status") == ["perfect-found"]
+
     def test_deeply_nested_file_is_input_error(self, capsys, tmp_path, p4_file):
         run_path = tmp_path / "deep.json"
         run_path.write_text("[" * 200000 + "]" * 200000)
@@ -283,6 +330,21 @@ class TestReduceCommand:
         from matchcert.graph import parse_instance
         aux = parse_instance(data["instance"])
         assert aux.node_count == 6
+
+    def test_auxiliary_non_edge_matching_fails(self, capsys, tmp_path):
+        path = tmp_path / "path3.dimacs"
+        path.write_text("p edge 3 2\ne 1 2 1\ne 2 3 1\n")
+        run_path = tmp_path / "run.json"
+        run_cli(capsys, "solve", str(path), "--snapshots", str(run_path))
+        data = json.loads(run_path.read_text())
+        data["snapshots"][1]["matching"] = [[1, 3]]
+        run_path.write_text(json.dumps(data))
+        code, out, _ = run_cli(capsys, "reduce", str(path),
+                               "--auxiliary", f"{run_path}:1")
+        assert code == 2
+        violations = json.loads(out)["check"]["violations"]
+        assert [(v["constraint"], v["witness"]) for v in violations] == \
+            [("matching-edge", [1, 3])]
 
     def test_auxiliary_missing_snapshot(self, capsys, tmp_path, p4_file):
         run_path = tmp_path / "run.json"

@@ -7,7 +7,8 @@ from matchcert.cli import figure2_instance
 from matchcert.graph import (Instance, Matching, ParseError,
                              alternating_path_difference, format_instance,
                              format_matching, matching_weight,
-                             normalize_weights, parse_instance, parse_matching)
+                             normalize_weights, parse_instance, parse_matching,
+                             parse_rational)
 from util import naive_min_by_cardinality, random_instance
 
 
@@ -71,6 +72,24 @@ class TestParseInstance:
     def test_round_trip(self):
         inst = parse_instance("p edge 3 2\ne 1 2 5\ne 2 3 -7/3")
         assert parse_instance(format_instance(inst)) == inst
+
+
+class TestParseRational:
+    @pytest.mark.parametrize("text, value", [
+        ("3", Fraction(3)), ("-3", Fraction(-3)), ("+3", Fraction(3)),
+        ("-2.5", Fraction(-5, 2)), ("0.125", Fraction(1, 8)),
+        ("7/2", Fraction(7, 2)), ("-14/4", Fraction(-7, 2)),
+    ])
+    def test_grammar(self, text, value):
+        assert parse_rational(text) == value
+
+    @pytest.mark.parametrize("text", [
+        "", " 3", "3 ", "1e5", "1E-5", "2.", ".5", "1/-2", "1/0", "1/2/3",
+        "1.5/2", "inf", "nan", "0x10", "1_000", "\u0663", "--1",
+    ])
+    def test_rejects_everything_else(self, text):
+        with pytest.raises(ValueError):
+            parse_rational(text)
 
 
 class TestInstanceInvariants:

@@ -93,6 +93,15 @@ class TestAuxiliaryCompletion:
         assert err.value.node == 7  # tail node c2 sits below the maximum
         assert err.value.pi_star < err.value.pi_star_max
 
+    def test_non_edge_in_matching_reported(self):
+        # Path 1-2-3 with snapshot k=1 forged to match the non-edge {1, 3}.
+        path = Instance.from_edges(3, [(0, 1, 1), (1, 2, 1)])
+        snap = solve(path).snapshots[1]
+        forged = replace(snap, matching=Matching.from_pairs([(0, 2)]))
+        verdict = check_perfect_certificate(build_auxiliary_completion(path, forged))
+        assert [(v.constraint, v.witness) for v in verdict.violations] == \
+            [("matching-edge", (0, 2))]
+
     def test_non_perfect_matching_rejected(self, p4):
         run = solve(p4)
         comp = build_auxiliary_completion(p4, run.snapshots[2])
