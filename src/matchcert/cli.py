@@ -9,6 +9,8 @@ failure, 3 input error.
 from __future__ import annotations
 
 import argparse
+import os
+import stat
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -115,6 +117,23 @@ def _read_instance(path: str) -> Instance:
         return parse_instance(handle)
 
 
+def _write_text(path: str, text: str) -> None:
+    """Write text to path, overwriting an existing file in place.
+
+    The file is opened without O_TRUNC and, when it is a regular file,
+    cut to the written length afterwards. Truncating a file to zero bytes
+    on open makes ext4 (auto_da_alloc) flush it on close, and the next
+    truncation of the same file then waits tens of milliseconds on the
+    disk. Symlinks, the creation mode and the resulting bytes are those of
+    open(path, "w"); devices and FIFOs are written without the cut.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "w", encoding="utf-8") as handle:
+        handle.write(text)
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            handle.truncate()
+
+
 def _parse_amounts_file(path: str) -> ScriptedPolicy:
     """One dual-update phase per line; amounts separated by spaces or commas."""
     phases = []
@@ -172,8 +191,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     text = jsonio.dumps(payload)
     sys.stdout.write(text)
     if args.snapshots:
-        with open(args.snapshots, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        _write_text(args.snapshots, text)
 
     final = run.final
     print(f"status {run.status}; {len(run.snapshots)} snapshots; "

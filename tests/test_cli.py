@@ -1,9 +1,11 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+from matchcert import cli
 from matchcert.cli import compare_dual_policies, figure2_instance, main
 
 P4_TEXT = "p edge 4 3\ne 1 2 5\ne 2 3 1\ne 3 4 5\n"
@@ -42,6 +44,41 @@ class TestSolveCommand:
                                "--snapshots", str(out_path))
         assert code == 0
         assert out_path.read_text() == out
+
+    @pytest.mark.parametrize("old_size", [100000, 1])
+    def test_snapshots_file_overwritten_to_new_length(self, capsys, tmp_path,
+                                                      p4_file, old_size):
+        # A longer old file loses its tail; a shorter one grows.
+        out_path = tmp_path / "run.json"
+        out_path.write_text("x" * old_size)
+        code, out, _ = run_cli(capsys, "solve", p4_file,
+                               "--snapshots", str(out_path))
+        assert code == 0
+        assert out_path.read_bytes() == out.encode("utf-8")
+
+    def test_snapshots_to_devnull(self, capsys, p4_file):
+        code, out, _ = run_cli(capsys, "solve", p4_file, "--snapshots", os.devnull)
+        assert code == 0
+        assert json.loads(out)["status"] == "perfect-found"
+
+    def test_snapshots_file_opened_without_truncation(self, capsys, monkeypatch,
+                                                      tmp_path, p4_file):
+        # Truncate-on-open makes the next rewrite of the file wait on a
+        # disk flush (ext4 auto_da_alloc); the file is cut after writing.
+        out_path = str(tmp_path / "run.json")
+        flags_seen = []
+        os_open = cli.os.open
+
+        def recording_open(path, flags, *rest, **kwargs):
+            if path == out_path:
+                flags_seen.append(flags)
+            return os_open(path, flags, *rest, **kwargs)
+
+        monkeypatch.setattr(cli.os, "open", recording_open)
+        code, _, _ = run_cli(capsys, "solve", p4_file, "--snapshots", out_path)
+        assert code == 0
+        assert len(flags_seen) == 1
+        assert not flags_seen[0] & os.O_TRUNC
 
     def test_perfect_infeasible_exit(self, capsys, tmp_path):
         path = tmp_path / "tri.dimacs"
@@ -279,6 +316,18 @@ class TestVerifyCommand:
         assert code == 2
         assert json.loads(out)["violations"] == [
             {"constraint": "odd-set:k=1", "witness": [1, 2], "lhs": 2, "rhs": "odd"}]
+
+    def test_non_edge_matching_fails(self, capsys, tmp_path):
+        path = tmp_path / "path3.dimacs"
+        path.write_text("p edge 3 2\ne 1 2 1\ne 2 3 1\n")
+        run_path = tmp_path / "run.json"
+        run_cli(capsys, "solve", str(path), "--snapshots", str(run_path))
+        data = json.loads(run_path.read_text())
+        data["snapshots"][1]["matching"] = [[1, 3]]
+        run_path.write_text(json.dumps(data))
+        code, out, _ = run_cli(capsys, "verify", str(path), "--run", str(run_path))
+        assert code == 2
+        assert witnesses(out, "matching-edge:k=1") == [[1, 3]]
 
 
 class TestCounterexampleCommand:
