@@ -35,7 +35,8 @@ from typing import Iterable
 # import the builder from here, beside its checker.
 from .engine import (STATUS_PERFECT, CardinalityCertificate, DualState,
                      RunResult, transform_duals)
-from .graph import Instance, Matching, alternating_path_difference
+from .graph import (Instance, Matching, alternating_path_difference,
+                    matching_weight)
 
 ZERO = Fraction(0)
 
@@ -192,17 +193,15 @@ def verify_run(inst: Instance, run: RunResult) -> Verdict:
 
     Per snapshot: check the certificate of the frozen duals
     (`Snapshot.certificate`, built once per snapshot) against the
-    snapshot's matching; recheck the stored weight, summed on the scaled
-    int weights over the matched pairs that are edges (a non-edge is
-    reported by the certificate check as `matching-edge`).
+    snapshot's matching; recheck the stored weight (skipped when the
+    matching uses a non-edge, which the certificate check reports as
+    `matching-edge`).
     Across snapshots: cardinalities must be 0, 1, ..., K, and consecutive
     matchings must differ by a single alternating path. The run's status
     must agree with its last matching: `perfect-found` exactly when that
     matching covers all n nodes.
     """
     violations: list[Violation] = []
-    weight_scale, weights = inst.scaled_weights
-    edge_index, has_edge = inst.edge_index, inst.has_edge
 
     for i, snap in enumerate(run.snapshots):
         tag = f"k={snap.cardinality}"
@@ -210,13 +209,13 @@ def verify_run(inst: Instance, run: RunResult) -> Verdict:
             violations.append(
                 Violation(f"snapshot-cardinality-sequence:{tag}", i,
                           snap.cardinality, i))
-        total = sum(weights[edge_index(u, v)]
-                    for u, v in snap.matching.edges if has_edge(u, v))
-        # total / weight_scale == snap.weight, without building a Fraction.
-        if total * snap.weight.denominator != snap.weight.numerator * weight_scale:
+        try:
+            actual_weight = matching_weight(inst, snap.matching)
+        except ValueError:  # a non-edge, reported below as matching-edge
+            actual_weight = snap.weight
+        if actual_weight != snap.weight:
             violations.append(
-                Violation(f"snapshot-weight:{tag}", None, snap.weight,
-                          Fraction(total, weight_scale)))
+                Violation(f"snapshot-weight:{tag}", None, snap.weight, actual_weight))
         sub = check_cardinality_certificate(inst, snap.matching, snap.certificate)
         for viol in sub.violations:
             violations.append(

@@ -125,7 +125,10 @@ def _write_text(path: str, text: str) -> None:
     on open makes ext4 (auto_da_alloc) flush it on close, and the next
     truncation of the same file then waits tens of milliseconds on the
     disk. Symlinks, the creation mode and the resulting bytes are those of
-    open(path, "w"); devices and FIFOs are written without the cut.
+    open(path, "w"); devices and FIFOs are written without the cut. Skipping
+    that flush gives up ext4's implicit crash safety for this pattern:
+    after a crash the file may hold the previous text or a mix of old and
+    new blocks.
     """
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     with open(fd, "w", encoding="utf-8") as handle:

@@ -214,15 +214,19 @@ class Matching:
 
 
 def matching_weight(inst: Instance, m: Matching) -> Fraction:
-    """Total weight of the matching; the empty matching weighs 0."""
-    total = ZERO
+    """Total weight of the matching; the empty matching weighs 0.
+
+    Summed on the instance's scaled int weights, one Fraction at the end.
+    """
+    scale, weights = inst.scaled_weights
+    total = 0
     for u, v in m.edges:
         try:
             idx = inst.edge_index(u, v)
         except KeyError:
             raise ValueError(f"matching edge ({u}, {v}) is not an edge of the instance")
-        total += inst.edges[idx].weight
-    return total
+        total += weights[idx]
+    return Fraction(total, scale)
 
 
 @dataclass(frozen=True)
