@@ -94,22 +94,58 @@ def non_edge_violations(inst: Instance, m: Matching) -> list[Violation]:
             for pair in sorted(p for p in m.edges if not inst.has_edge(*p))]
 
 
+def cut_loads(inst: Instance, dual: DualState) -> tuple[int, list[int], list[int]]:
+    """(scale, weights, loads): every edge's weight and cut-form dual load
+    as ints in units of 1/scale, in edge order.
+
+    scale is the lcm of the instance's weight scale and the dual
+    denominators. An edge's load is the sum of the duals of the sets that
+    hold exactly one of its ends: both singletons, plus every blossom
+    with nonzero pi that separates them.
+    """
+    weight_scale, weights = inst.scaled_weights
+    scale = lcm(weight_scale, *{q.denominator for q in dual.singleton_pi},
+                *{b.pi.denominator for b in dual.blossoms})
+    factor = scale // weight_scale
+
+    def units(q: Fraction) -> int:
+        return q.numerator * (scale // q.denominator)
+
+    pi = list(map(units, dual.singleton_pi))
+    separating = [(b.nodes, units(b.pi)) for b in dual.blossoms if b.pi]
+    loads = []
+    for u, v, _ in inst.edges:
+        load = pi[u] + pi[v]
+        for nodes, p in separating:
+            if (u in nodes) != (v in nodes):
+                load += p
+        loads.append(load)
+    return scale, [w * factor for w in weights], loads
+
+
+def cut_violations(inst: Instance, dual: DualState,
+                   scale: int, weights: list[int], loads: list[int]) -> list[Violation]:
+    """The cut-form feasibility violations, given `cut_loads(inst, dual)`."""
+    violations = _family_violations(b.nodes for b in dual.blossoms)
+    for b in dual.blossoms:
+        if b.pi < 0:
+            violations.append(Violation("blossom-nonneg", b.nodes, b.pi, ZERO))
+    for e, w, load in zip(inst.edges, weights, loads):
+        if load > w:
+            violations.append(
+                Violation("edge-load", (e.u, e.v), Fraction(load, scale), e.weight))
+    return violations
+
+
 def check_cut_feasibility(inst: Instance, dual: DualState) -> Verdict:
     """Check the cut-form dual constraints exactly.
 
     The blossoms must form a laminar family of odd sets, blossom duals
     must be nonnegative, and for every edge the summed dual load over sets
-    cut by the edge must not exceed the edge weight.
+    cut by the edge must not exceed the edge weight. Loads are compared
+    on ints (`cut_loads`) and reported in original units.
     """
-    violations = _family_violations(b.nodes for b in dual.blossoms)
-    for b in dual.blossoms:
-        if b.pi < 0:
-            violations.append(Violation("blossom-nonneg", b.nodes, b.pi, ZERO))
-    for e in inst.edges:
-        load = dual.edge_load(e.u, e.v)
-        if load > e.weight:
-            violations.append(Violation("edge-load", (e.u, e.v), load, e.weight))
-    return _verdict(violations)
+    return _verdict(cut_violations(inst, dual, *cut_loads(inst, dual)))
 
 
 def check_cardinality_certificate(inst: Instance, m: Matching,

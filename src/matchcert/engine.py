@@ -21,9 +21,13 @@ Design notes:
     they are recomputed by `lift_matching` from each blossom's remembered
     odd cycle and its current external attachment point. Shrinking and
     deshrinking therefore cannot change the deshrunken matching.
-  * All structure caches (shrunken view, forest) are rebuilt from scratch
-    after every mutation. Instances here are desk-scale; correctness and
-    auditability win over asymptotics.
+  * The shrunken view is carried across steps and rebuilt over all
+    edges only for the first view and after a blossom expands. `augment`
+    keeps it (blossoms and pi* do not change); `shrink_blossom` remaps it
+    (the cycle's view ids merge into the new blossom's, whose dual is 0,
+    and tight edges now inside it drop out); `apply_dual_update` installs
+    the next one from the edge scan that validates the update. The forest
+    and the walk are dropped after every mutation and regrown on demand.
   * A view node's id is the smallest original node it contains. Each
     blossom record computes this id once, as its `key`; the view's `top`
     maps every original node to the id of its maximal set, and every
@@ -50,6 +54,7 @@ Design notes:
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -113,14 +118,6 @@ class DualState:
     singleton_pi: tuple[Fraction, ...]
     blossoms: tuple[BlossomDual, ...]
     beta: Fraction = ZERO
-
-    def edge_load(self, u: int, v: int) -> Fraction:
-        """Sum of duals over all sets containing exactly one of u, v."""
-        total = self.singleton_pi[u] + self.singleton_pi[v]
-        for b in self.blossoms:
-            if (u in b.nodes) != (v in b.nodes):
-                total += b.pi
-        return total
 
 
 def accumulated_pi(base: Iterable[Fraction], sets: Iterable) -> list[Fraction]:
@@ -268,6 +265,16 @@ class ShrunkenView:
     top: list[int]
     tight_edges: tuple[tuple[int, int, int], ...]
 
+    @cached_property
+    def incident(self) -> dict[int, list[tuple[int, int]]]:
+        """View node -> (edge index, other end) of its tight edges, in
+        input order; built once per view."""
+        incident: dict[int, list[tuple[int, int]]] = {k: [] for k in self.nodes}
+        for i, ku, kv in self.tight_edges:
+            incident[ku].append((i, kv))
+            incident[kv].append((i, ku))
+        return incident
+
 
 @dataclass(frozen=True)
 class ForestLabels:
@@ -414,8 +421,10 @@ class EngineState:
 
     # -- caching ------------------------------------------------------------
 
-    def _invalidate(self) -> None:
-        self._view = None
+    def _invalidate(self, view: ShrunkenView | None = None) -> None:
+        """Drop the forest and the walk; `view` replaces the shrunken view
+        (None: rebuild it on next use)."""
+        self._view = view
         self._forest = None
         self._walk = None
 
@@ -470,9 +479,9 @@ class EngineState:
                 top[v] = key
         pi_star = self._pi_star
         tight = []
-        for i, (e, w) in enumerate(zip(self.inst.edges, self._weights)):
-            ku, kv = top[e.u], top[e.v]
-            if ku != kv and pi_star[e.u] + pi_star[e.v] == w:
+        for i, ((u, v, _), w) in enumerate(zip(self.inst.edges, self._weights)):
+            ku, kv = top[u], top[v]
+            if ku != kv and pi_star[u] + pi_star[v] == w:
                 tight.append((i, ku, kv))
         nodes = tuple(v for v, key in enumerate(top) if v == key)
         self._view = ShrunkenView(nodes, top, tuple(tight))
@@ -519,11 +528,7 @@ class EngineState:
             return self._walk
         view = self.shrunken_view()
         mates = self.view_mates()
-
-        incident: dict[int, list[tuple[int, int, int]]] = {k: [] for k in view.nodes}
-        for i, ku, kv in view.tight_edges:
-            incident[ku].append((i, ku, kv))
-            incident[kv].append((i, kv, ku))
+        incident = view.incident
 
         label: dict[int, str] = {}
         parent: dict[int, tuple[int, int]] = {}
@@ -534,11 +539,12 @@ class EngineState:
             root[k] = k
 
         walk: AlternatingWalk | None = None
-        pending = set(roots)
+        # A min-heap of T-nodes still to scan; roots ascend, so it is one.
+        # Every node enters at most once, when it is labeled T.
+        pending = list(roots)
         while pending and walk is None:
-            u = min(pending)
-            pending.discard(u)
-            for eidx, _, w in incident[u]:
+            u = heapq.heappop(pending)
+            for eidx, w in incident[u]:
                 lw = label.get(w)
                 if lw == LABEL_S:
                     continue
@@ -554,7 +560,7 @@ class EngineState:
                 label[mate_key] = LABEL_T
                 parent[mate_key] = (w, mate_eidx)
                 root[mate_key] = root[u]
-                pending.add(mate_key)
+                heapq.heappush(pending, mate_key)
 
         self._forest = ForestLabels(label, parent, root, roots)
         self._walk = walk
@@ -609,7 +615,8 @@ class EngineState:
             else:
                 assert pair in self.crossing, "matched walk edge missing from matching"
                 self.crossing.remove(pair)
-        self._invalidate()
+        # Blossoms and pi* are unchanged, and with them the view.
+        self._invalidate(self._view)
 
     # -- snapshots ------------------------------------------------------------
 
@@ -666,6 +673,7 @@ def shrink_blossom(state: EngineState, walk: AlternatingWalk) -> EngineState:
     cycle_eidx = list(edges[strip:last - strip])
     assert len(cycle_keys) % 2 == 1 and len(cycle_keys) >= 3
 
+    view = state.shrunken_view()
     records = {rec.key: rec for rec in state.blossoms}
     cycle: list = []
     node_union: set[int] = set()
@@ -686,7 +694,20 @@ def shrink_blossom(state: EngineState, walk: AlternatingWalk) -> EngineState:
 
     rec = _Blossom(frozenset(node_union), cycle, cycle_pairs)
     state.blossoms = [b for b in state.blossoms if b not in cycle] + [rec]
-    state._invalidate()
+
+    # The new blossom's dual is 0, so pi* and tightness stay as they are:
+    # the cycle's view ids merge into rec.key, the smallest of them, and
+    # tight edges between two of them drop out.
+    key, merged = rec.key, set(cycle_keys)
+    top = list(view.top)
+    for v in rec.nodes:
+        top[v] = key
+    state._invalidate(ShrunkenView(
+        tuple(k for k in view.nodes if k == key or k not in merged),
+        top,
+        tuple((i, key if ku in merged else ku, key if kv in merged else kv)
+              for i, ku, kv in view.tight_edges
+              if ku not in merged or kv not in merged)))
     return state
 
 
@@ -706,6 +727,8 @@ def compute_alpha(state: EngineState) -> AlphaResult:
     label = labels.label
     top = state.shrunken_view().top
     pi_star = state._pi_star
+    # The label of each original node's maximal set.
+    node_label = [label.get(k) for k in top]
 
     best: int | None = None
     binding: tuple | None = None
@@ -716,18 +739,17 @@ def compute_alpha(state: EngineState) -> AlphaResult:
             if best is None or bound < best:
                 best, binding = bound, ("blossom-nonneg", rec.nodes)
 
-    for i, (e, w) in enumerate(zip(state.inst.edges, state._weights)):
-        ku, kv = top[e.u], top[e.v]
-        if ku == kv:
-            continue
-        lu, lv = label.get(ku), label.get(kv)
+    for i, ((u, v, _), w) in enumerate(zip(state.inst.edges, state._weights)):
+        lu, lv = node_label[u], node_label[v]
         if lu == LABEL_T and lv == LABEL_T:
+            if top[u] == top[v]:
+                continue
             factor, what = 1, "edge-t-t"
         elif (lu == LABEL_T and lv is None) or (lv == LABEL_T and lu is None):
             factor, what = 2, "edge-t-free"
         else:
             continue
-        bound = factor * (w - pi_star[e.u] - pi_star[e.v])
+        bound = factor * (w - pi_star[u] - pi_star[v])
         if best is None or bound < best:
             best, binding = bound, (what, i)
 
@@ -746,7 +768,9 @@ def apply_dual_update(state: EngineState,
     get 0. The update is validated against the dual constraints before
     anything is written; an infeasible request raises InfeasibleUpdateError
     and leaves the duals untouched. Afterwards every maximal S-labeled
-    blossom whose dual reached 0 is deshrunken and removed.
+    blossom whose dual reached 0 is deshrunken and removed. The scan that
+    validates the edges also collects the next view's tight edges, so the
+    view is rebuilt from scratch only when a blossom was deshrunken.
     """
     labels = state._require_clean_forest()
 
@@ -755,11 +779,12 @@ def apply_dual_update(state: EngineState,
         unknown = set(per_root) - set(labels.roots)
         if unknown:
             raise ValueError(f"amounts given for non-root view nodes {sorted(unknown)}")
+        state._admit(per_root.values())
+        units = {k: state._units(a) for k, a in per_root.items()}
     else:
         value = as_rational(amounts)
-        per_root = {k: value for k in labels.roots}
-    state._admit(set(per_root.values()))
-    units = {k: state._units(a) for k, a in per_root.items()}
+        state._admit((value,))
+        units = dict.fromkeys(labels.roots, state._units(value))
 
     delta: dict[int, int] = {}
     for key, lbl in labels.label.items():
@@ -775,37 +800,41 @@ def apply_dual_update(state: EngineState,
                 raise InfeasibleUpdateError("blossom-nonneg", rec.nodes,
                                             Fraction(new_pi, state._scale), ZERO)
 
-    # Validate the edge constraints. Only edges whose load grows can break.
-    top = state.shrunken_view().top
-    pi_star = state._pi_star
-    for i, (e, w) in enumerate(zip(state.inst.edges, state._weights)):
-        ku, kv = top[e.u], top[e.v]
+    # Validate the edge constraints on the new pi*, where a maximal set's
+    # step moves every node inside it, and collect the edges left tight.
+    # The duals are feasible before the update, so the first edge found
+    # overloaded is the first whose load grows past its weight.
+    view = state.shrunken_view()
+    top = view.top
+    pi_star = [p + delta.get(k, 0) for p, k in zip(state._pi_star, top)]
+    tight = []
+    for i, ((u, v, _), w) in enumerate(zip(state.inst.edges, state._weights)):
+        load = pi_star[u] + pi_star[v]
+        if load < w:
+            continue
+        ku, kv = top[u], top[v]
         if ku == kv:
             continue
-        change = delta.get(ku, 0) + delta.get(kv, 0)
-        if change <= 0:
-            continue
-        new_load = pi_star[e.u] + pi_star[e.v] + change
-        if new_load > w:
-            raise InfeasibleUpdateError("edge-slack", i,
-                                        Fraction(new_load, state._scale), e.weight)
+        if load > w:
+            raise InfeasibleUpdateError("edge-slack", i, Fraction(load, state._scale),
+                                        state.inst.edges[i].weight)
+        tight.append((i, ku, kv))
 
-    # Commit. A maximal set's step moves pi* of every node inside it.
+    # Commit.
+    state._pi_star = pi_star
     for key, d in delta.items():
         if d == 0:
             continue
         rec = tops.get(key)
         if rec is None:
             state._pi[key] += d
-            pi_star[key] += d
         else:
             rec.pi += d
-            for v in rec.nodes:
-                pi_star[v] += d
 
     # Deshrink maximal S-labeled blossoms whose dual is now 0.
-    for rec in [b for b in state.blossoms
-                if labels.label.get(b.key) == LABEL_S and b.pi == 0]:
+    expanded = [b for b in state.blossoms
+                if labels.label.get(b.key) == LABEL_S and b.pi == 0]
+    for rec in expanded:
         entry = state.covered_node(rec.nodes)
         assert entry is not None, "S-labeled blossom must be matched"
         for i in rec.matched_positions(rec.constituent_index(entry)):
@@ -813,7 +842,7 @@ def apply_dual_update(state: EngineState,
         state.blossoms.remove(rec)
         state.blossoms.extend(c for c in rec.cycle if isinstance(c, _Blossom))
 
-    state._invalidate()
+    state._invalidate(None if expanded else ShrunkenView(view.nodes, top, tuple(tight)))
     return state
 
 

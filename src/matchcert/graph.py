@@ -39,7 +39,9 @@ def parse_rational(text: str) -> Fraction:
 
 def as_rational(value: RationalInput) -> Fraction:
     """Convert to an exact Fraction, rejecting floats outright; strings
-    follow `parse_rational`'s grammar."""
+    follow `parse_rational`'s grammar. A Fraction is returned as is."""
+    if type(value) is Fraction:
+        return value
     if isinstance(value, float):
         raise TypeError(f"floating point value {value!r} is not exact; "
                         "pass an int, a Fraction, or a string like '7/2'")

@@ -64,10 +64,9 @@ def _matching_from_json(pairs: list[Any], n: int) -> Matching:
     return Matching.from_pairs(zip(ends[::2], ends[1::2]))
 
 
-def _duals_to_json(dual: DualState) -> dict[str, Any]:
+def _duals_to_json(dual: DualState, keys: list[str]) -> dict[str, Any]:
     return {
-        "singletons": {str(v + 1): rational_to_str(p)
-                       for v, p in enumerate(dual.singleton_pi)},
+        "singletons": dict(zip(keys, map(rational_to_str, dual.singleton_pi))),
         "blossoms": [{"nodes": [v + 1 for v in sorted(b.nodes)],
                       "pi": rational_to_str(b.pi)}
                      for b in dual.blossoms],
@@ -106,23 +105,26 @@ def _duals_from_json(data: Any, rational: Callable[[Any], Fraction]) -> DualStat
     return DualState(pi, blossoms, beta)
 
 
-def _certificate_to_json(cert: CardinalityCertificate) -> dict[str, Any]:
+def _certificate_to_json(cert: CardinalityCertificate,
+                         keys: list[str]) -> dict[str, Any]:
     return {
         "gamma": rational_to_str(cert.gamma),
-        "y": {str(v + 1): rational_to_str(yv) for v, yv in enumerate(cert.y)},
+        "y": dict(zip(keys, map(rational_to_str, cert.y))),
         "z": [{"nodes": [v + 1 for v in sorted(nodes)],
                "value": rational_to_str(zu)}
               for nodes, zu in cert.z],
     }
 
 
-def snapshot_to_dict(snap: Snapshot) -> dict[str, Any]:
+def snapshot_to_dict(snap: Snapshot, keys: list[str]) -> dict[str, Any]:
+    """keys[v] is node v's JSON key, its 1-based id as a string; a run
+    shares one list over all its snapshots."""
     return {
         "k": snap.cardinality,
         "weight": rational_to_str(snap.weight),
         "matching": _matching_to_json(snap.matching),
-        "duals": _duals_to_json(snap.dual_state),
-        "certificate": _certificate_to_json(snap.certificate),
+        "duals": _duals_to_json(snap.dual_state, keys),
+        "certificate": _certificate_to_json(snap.certificate, keys),
     }
 
 
@@ -138,11 +140,13 @@ def _snapshot_from_dict(data: Any, rational: Callable[[Any], Fraction]) -> Snaps
 
 
 def run_result_to_dict(run: RunResult) -> dict[str, Any]:
+    n = max(len(s.dual_state.singleton_pi) for s in run.snapshots)
+    keys = [str(v + 1) for v in range(n)]
     return {
         "status": run.status,
         "mode": run.mode,
         "beta": rational_to_str(run.beta),
-        "snapshots": [snapshot_to_dict(s) for s in run.snapshots],
+        "snapshots": [snapshot_to_dict(s, keys) for s in run.snapshots],
     }
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .certificates import (Verdict, Violation, check_cut_feasibility,
+from .certificates import (Verdict, Violation, cut_loads, cut_violations,
                            non_edge_violations)
 from .engine import DualState, Snapshot, accumulated_pi
 from .graph import Edge, Instance, Matching
@@ -104,10 +104,10 @@ def check_perfect_certificate(comp: AuxiliaryCompletion) -> Verdict:
 
     Exact checks: the matching is perfect; every matched pair is an edge
     of the extended graph; the cut-form dual constraints hold
-    (check_cut_feasibility); every matched edge is tight; and every
-    blossom with positive dual is left by exactly one matching edge. A
-    pass certifies the extended matching is a minimum-weight perfect
-    matching of the extended graph.
+    (check_cut_feasibility); every matched edge is tight, read from the
+    same int loads (`cut_loads`); and every blossom with positive dual is
+    left by exactly one matching edge. A pass certifies the extended
+    matching is a minimum-weight perfect matching of the extended graph.
     """
     inst = comp.aux_instance
     m = comp.extended_matching
@@ -117,16 +117,17 @@ def check_perfect_certificate(comp: AuxiliaryCompletion) -> Verdict:
             f"extended matching covers {2 * len(m)} of {inst.node_count} nodes; "
             "a perfect matching is required")
 
-    violations = list(check_cut_feasibility(inst, dual).violations)
+    scale, weights, loads = cut_loads(inst, dual)
+    violations = cut_violations(inst, dual, scale, weights, loads)
     matched_edges = 0
-    for e in inst.edges:
+    for e, w, load in zip(inst.edges, weights, loads):
         if (e.u, e.v) in m:
             matched_edges += 1
-            load = dual.edge_load(e.u, e.v)
             # A load above the weight is already an edge-load violation.
-            if load < e.weight:
+            if load < w:
                 violations.append(
-                    Violation("cs-matched-edge-tight", (e.u, e.v), load, e.weight))
+                    Violation("cs-matched-edge-tight", (e.u, e.v),
+                              Fraction(load, scale), e.weight))
     # The scan meets every matched pair that is an edge; only when it
     # missed one is the extended graph's pair index worth building.
     if matched_edges != len(m):

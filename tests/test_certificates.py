@@ -6,13 +6,13 @@ import pytest
 
 from matchcert.certificates import (CardinalityCertificate,
                                     check_cardinality_certificate,
-                                    check_cut_feasibility, transform_duals,
-                                    verify_run)
+                                    check_cut_feasibility, cut_loads,
+                                    transform_duals, verify_run)
 from matchcert.engine import (STATUS_NO_PERFECT, STATUS_PERFECT, BlossomDual,
                               DualState, ScriptedPolicy, accumulated_pi, solve)
 from matchcert.graph import Instance, Matching
 from matchcert.oracle import min_weight_by_cardinality
-from util import random_instance
+from util import edge_load, random_instance
 
 HALF = Fraction(1, 2)
 ZERO = Fraction(0)
@@ -137,7 +137,7 @@ class TestTransformDuals:
                 for v in range(u + 1, n):
                     z_inside = sum(zu for nodes, zu in cert.z if {u, v} <= nodes)
                     lhs = cert.y[u] + cert.y[v] + z_inside + cert.gamma
-                    assert lhs == dual.edge_load(u, v)
+                    assert lhs == edge_load(dual, u, v)
 
 
 class TestCutFeasibility:
@@ -164,6 +164,44 @@ class TestCutFeasibility:
             solve(inst, on_dual_update=lambda s, inst=inst: (
                 check_cut_feasibility(inst, s.frozen_duals()).passed or
                 pytest.fail("engine produced infeasible duals")))
+
+
+class TestCutLoadsOnInts:
+    """The int loads and verdict equal the Fraction definition."""
+
+    DENOMINATORS = (1, 2, 3, 7)
+
+    def random_case(self, rng: random.Random) -> tuple[Instance, DualState]:
+        n = rng.randint(3, 12)
+        family = random_laminar_duals(rng, n).blossoms
+        d = self.DENOMINATORS
+        dual = DualState(
+            tuple(Fraction(rng.randint(-6, 8), rng.choice(d)) for _ in range(n)),
+            # Nonnegative, and often 0: zero-pi blossoms add nothing.
+            tuple(BlossomDual(b.nodes, Fraction(rng.randint(0, 3), rng.choice(d)))
+                  for b in family))
+        inst = Instance.from_edges(n, [
+            (u, v, Fraction(rng.randint(0, 16), rng.choice(d)))
+            for u in range(n) for v in range(u + 1, n) if rng.random() < 0.6])
+        return inst, dual
+
+    def test_loads_and_verdicts_match_fractions(self):
+        rng = random.Random(23)
+        overloaded = zero_pi = 0
+        for _ in range(60):
+            inst, dual = self.random_case(rng)
+            zero_pi += sum(b.pi == 0 for b in dual.blossoms)
+            scale, weights, loads = cut_loads(inst, dual)
+            assert [Fraction(w, scale) for w in weights] == [e.weight for e in inst.edges]
+            assert [Fraction(l, scale) for l in loads] == \
+                [edge_load(dual, e.u, e.v) for e in inst.edges]
+            expected = [("edge-load", (e.u, e.v), edge_load(dual, e.u, e.v), e.weight)
+                        for e in inst.edges if edge_load(dual, e.u, e.v) > e.weight]
+            verdict = check_cut_feasibility(inst, dual)
+            assert [(v.constraint, v.witness, v.lhs, v.rhs)
+                    for v in verdict.violations] == expected
+            overloaded += len(expected)
+        assert overloaded > 0 and zero_pi > 0
 
 
 class TestCardinalityCertificate:

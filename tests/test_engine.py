@@ -11,7 +11,8 @@ from matchcert.engine import (AlphaResult, EngineState, EngineStateError,
                               lift_matching, shrink_blossom, solve)
 from matchcert.graph import Instance, Matching, alternating_path_difference
 from matchcert.oracle import min_weight_by_cardinality
-from util import advance_to_dual_phase, random_instance
+from util import (advance_to_dual_phase, checked_steps, edge_load,
+                  random_instance, reference_view)
 
 HALF = Fraction(1, 2)
 
@@ -19,7 +20,7 @@ HALF = Fraction(1, 2)
 def edge_slack(state: EngineState, edge_index: int) -> Fraction:
     """w_e minus the cut-form dual load of edge e."""
     e = state.inst.edges[edge_index]
-    return e.weight - state.frozen_duals().edge_load(e.u, e.v)
+    return e.weight - edge_load(state.frozen_duals(), e.u, e.v)
 
 
 class TestSolveRuns:
@@ -339,7 +340,7 @@ class TestEngineInvariantsOnRandomRuns:
                     if b.pi > 0:
                         assert lifted.count_inside(b.nodes) == (len(b.nodes) - 1) // 2
                 for e in inst.edges:
-                    load = duals.edge_load(e.u, e.v)
+                    load = edge_load(duals, e.u, e.v)
                     assert load <= e.weight
                     if (e.u, e.v) in lifted:
                         assert load == e.weight
@@ -394,3 +395,56 @@ class TestDeepNesting:
         depth = max(sum(v in b.nodes for b in snap.dual_state.blossoms)
                     for snap in run.snapshots for v in range(inst.node_count))
         assert depth == 41
+
+
+def sparse_instance(seed: int, n: int = 64, degree: int = 8) -> Instance:
+    """n nodes, n * degree / 2 distinct random pairs, weights 0..100."""
+    rng = random.Random(seed)
+    pairs: set[tuple[int, int]] = set()
+    while len(pairs) < n * degree // 2:
+        pairs.add(tuple(sorted(rng.sample(range(n), 2))))
+    return Instance.from_edges(n, [(u, v, rng.randint(0, 100)) for u, v in sorted(pairs)])
+
+
+class TestCarriedView:
+    """The view is kept, remapped or rebuilt from the dual update's scan,
+    never from scratch except at the start and after an expansion; after
+    every step it must equal the view built from its definition."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_sparse_graphs(self, seed):
+        counts = checked_steps(sparse_instance(seed))
+        assert counts["augment"] == 32 and counts["dual_update"] > 0
+
+    def test_ladder(self):
+        counts = checked_steps(nested_ladder(12))
+        assert counts["shrink"] >= 12
+
+    def test_run_with_expansions(self, c5_two_tails):
+        assert checked_steps(c5_two_tails)["expansion"] == 1
+        assert checked_steps(sparse_instance(7))["expansion"] == 4
+
+    def test_scripted_fifth_rescales(self):
+        # 1/5 is a multiple of no weight or beta denominator, so the first
+        # update grows the engine's scale.
+        inst = Instance.from_edges(5, [
+            (0, 1, Fraction(9, 2)), (1, 2, Fraction(10, 3)), (2, 3, Fraction(30, 7)),
+            (3, 4, 4), (0, 4, Fraction(13, 3)), (1, 3, Fraction(11, 2))])
+        counts = checked_steps(inst, phases=[[Fraction(1, 5)]], beta=Fraction(1, 7))
+        assert counts["rescale"] == 1
+
+    def test_augment_keeps_the_view_object(self, fig2):
+        state = EngineState(fig2)
+        walk = state.grow_forest()
+        assert walk is not None and walk.is_path()
+        view = state.shrunken_view()
+        state.augment(walk)
+        assert state.shrunken_view() is view
+        assert view == reference_view(state)
+
+    def test_rejected_update_keeps_a_valid_view(self, fig2):
+        state = EngineState(fig2)
+        advance_to_dual_phase(state)
+        with pytest.raises(InfeasibleUpdateError):
+            apply_dual_update(state, 1000)
+        assert state.shrunken_view() == reference_view(state)

@@ -1,6 +1,7 @@
 """Property test beyond the oracle's node budget: random sparse graphs of
 up to 120 nodes, checked by the certificate verifier and against
-networkx's maximum-cardinality matching on negated weights.
+networkx's maximum-cardinality matching on negated weights, and stepped
+through the engine with its carried view checked after every step.
 
 Hypothesis and networkx are test-only; the module is skipped without them.
 """
@@ -13,6 +14,7 @@ import pytest
 from matchcert.certificates import verify_run
 from matchcert.engine import solve
 from matchcert.graph import Instance
+from util import checked_steps
 
 hypothesis = pytest.importorskip("hypothesis")
 nx = pytest.importorskip("networkx")
@@ -46,3 +48,9 @@ def test_runs_verify_and_agree_with_networkx(inst):
     run = solve(inst)
     assert verify_run(inst, run).passed
     assert (run.final.cardinality, run.final.weight) == networkx_final(inst)
+
+
+@hypothesis.settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@hypothesis.given(sparse_instances())
+def test_carried_view_equals_its_definition(inst):
+    checked_steps(inst)

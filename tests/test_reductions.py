@@ -11,7 +11,7 @@ from matchcert.reductions import (CompletionRefusedError,
                                   build_auxiliary_completion,
                                   build_doubled_graph,
                                   check_perfect_certificate)
-from util import minimum_perfect_weight, random_instance
+from util import edge_load, minimum_perfect_weight, random_instance
 
 HALF = Fraction(1, 2)
 
@@ -101,6 +101,40 @@ class TestAuxiliaryCompletion:
         verdict = check_perfect_certificate(build_auxiliary_completion(path, forged))
         assert [(v.constraint, v.witness) for v in verdict.violations] == \
             [("matching-edge", (0, 2))]
+
+    def test_forged_fractional_completion_matches_fractions(self):
+        # Weights and duals in halves, thirds and sevenths, a forged helper
+        # dual and blossom dual: the int loads give the verdict that the
+        # Fraction definition gives, in the same order.
+        rng = random.Random(17)
+        forged_count = 0
+        for _ in range(6):
+            inst = Instance.from_edges(9, [
+                (u, v, Fraction(rng.randint(2, 30), rng.choice((2, 3, 7))))
+                for u in range(9) for v in range(u + 1, 9) if rng.random() < 0.5])
+            run = solve(inst)
+            for snap in run.snapshots:
+                comp = build_auxiliary_completion(inst, snap)
+                dual = comp.lifted_duals
+                pi = list(dual.singleton_pi)
+                pi[-1] += rng.choice((Fraction(1, 3), Fraction(-1, 7)))
+                blossoms = tuple(replace(b, pi=b.pi + Fraction(1, 2))
+                                 for b in dual.blossoms)
+                forged = replace(comp, lifted_duals=DualState(tuple(pi), blossoms))
+                aux, m = forged.aux_instance, forged.extended_matching
+                loads = [edge_load(forged.lifted_duals, e.u, e.v) for e in aux.edges]
+                expected = [("edge-load", (e.u, e.v), load, e.weight)
+                            for e, load in zip(aux.edges, loads) if load > e.weight]
+                expected += [("cs-matched-edge-tight", (e.u, e.v), load, e.weight)
+                             for e, load in zip(aux.edges, loads)
+                             if (e.u, e.v) in m and load < e.weight]
+                verdict = check_perfect_certificate(forged)
+                assert [(v.constraint, v.witness, v.lhs, v.rhs)
+                        for v in verdict.violations
+                        if v.constraint != "cs-cut-tight"] == expected
+                assert check_perfect_certificate(comp).passed
+                forged_count += not verdict.passed
+        assert forged_count > 0
 
     def test_non_perfect_matching_rejected(self, p4):
         run = solve(p4)

@@ -9,9 +9,10 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
-from matchcert.engine import solve
+from matchcert.engine import (DualState, EngineState, ScriptedPolicy,
+                              ShrunkenView, apply_dual_update, compute_alpha,
+                              lift_matching, shrink_blossom, solve)
 from matchcert.graph import Instance, normalize_weights
-from matchcert.engine import EngineState, shrink_blossom
 
 
 def naive_min_by_cardinality(inst: Instance) -> dict[int, tuple[Fraction, tuple]]:
@@ -78,3 +79,68 @@ def minimum_perfect_weight(inst: Instance) -> Fraction | None:
         return None
     assert 2 * run.final.cardinality == inst.node_count
     return run.final.weight - record.shift * run.final.cardinality
+
+
+def edge_load(dual: DualState, u: int, v: int) -> Fraction:
+    """Cut-form dual load of edge {u, v} in Fractions, from the definition:
+    the summed duals of all sets holding exactly one of u, v."""
+    total = dual.singleton_pi[u] + dual.singleton_pi[v]
+    for b in dual.blossoms:
+        if (u in b.nodes) != (v in b.nodes):
+            total += b.pi
+    return total
+
+
+def reference_view(state: EngineState) -> ShrunkenView:
+    """The shrunken view from its definition: each node's top is the
+    smallest node of its maximal set, and the tight edges join distinct
+    tops with zero Fraction slack, in input order."""
+    top = list(range(state.inst.node_count))
+    for rec in state.blossoms:
+        smallest = min(rec.nodes)
+        for v in rec.nodes:
+            top[v] = smallest
+    dual = state.frozen_duals()
+    tight = tuple((i, top[e.u], top[e.v]) for i, e in enumerate(state.inst.edges)
+                  if top[e.u] != top[e.v] and edge_load(dual, e.u, e.v) == e.weight)
+    return ShrunkenView(tuple(sorted(set(top))), top, tight)
+
+
+def checked_steps(inst: Instance, phases=(), beta=0) -> dict[str, int]:
+    """Replay `solve(inst, beta=beta)` step by step, the first dual updates
+    by the per-tree amounts of `phases`, and check after every augment,
+    shrink and dual update that the engine's view equals
+    `reference_view`; after an augment it must be the very same object.
+    Returns the step counts; the final matching must equal solve's."""
+    state = EngineState(inst, beta)
+    assert state.shrunken_view() == reference_view(state)
+    script = tuple(tuple(Fraction(a) for a in phase) for phase in phases)
+    phases = list(script)
+    counts = dict.fromkeys(("augment", "shrink", "dual_update", "expansion",
+                            "rescale"), 0)
+    while state.exposed_view_keys():
+        walk = state.grow_forest()
+        if walk is not None and walk.is_path():
+            before = state.shrunken_view()
+            state.augment(walk)
+            assert state.shrunken_view() is before
+            counts["augment"] += 1
+        elif walk is not None:
+            shrink_blossom(state, walk)
+            counts["shrink"] += 1
+        else:
+            if phases:
+                amounts = dict(zip(state.forest_labels().roots, phases.pop(0)))
+            else:
+                amounts = compute_alpha(state).alpha
+                if amounts is None:
+                    break
+            scale, blossoms = state._scale, set(state.blossoms)
+            apply_dual_update(state, amounts)
+            counts["dual_update"] += 1
+            counts["expansion"] += len(blossoms - set(state.blossoms))
+            counts["rescale"] += state._scale != scale
+        assert state.shrunken_view() == reference_view(state)
+    policy = ScriptedPolicy(tuple(script)) if script else None
+    assert lift_matching(state) == solve(inst, policy=policy, beta=beta).final.matching
+    return counts
