@@ -203,10 +203,6 @@ class RunResult:
     beta: Fraction = ZERO
 
     @property
-    def final_index(self) -> int:
-        return len(self.snapshots) - 1
-
-    @property
     def final(self) -> Snapshot:
         return self.snapshots[-1]
 

@@ -22,15 +22,18 @@ RationalInput = Union[int, str, Fraction]
 
 ZERO = Fraction(0)
 
-_RATIONAL = re.compile(r"[+-]?[0-9]+(?:\.[0-9]+|/[0-9]+)?")
+_RATIONAL = re.compile(r"[+-]?[0-9]+(\.[0-9]+|/[0-9]+)?")
 
 
 def parse_rational(text: str) -> Fraction:
     """An exact rational written as an integer, a decimal or a fraction
     (`3`, `-2.5`, `7/2`). Anything else, exponents and whitespace
     included, raises ValueError, as does a zero denominator."""
-    if _RATIONAL.fullmatch(text) is None:
+    match = _RATIONAL.fullmatch(text)
+    if match is None:
         raise ValueError(f"invalid rational {text!r}")
+    if match[1] is None:  # an integer: skip Fraction's own string parser
+        return Fraction(int(text))
     try:
         return Fraction(text)
     except ZeroDivisionError:
@@ -118,24 +121,6 @@ class Instance:
         return scale, tuple(e.weight.numerator * (scale // e.weight.denominator)
                             for e in self.edges)
 
-    @cached_property
-    def _incident(self) -> tuple[tuple[int, ...], ...]:
-        lists: list[list[int]] = [[] for _ in range(self.node_count)]
-        for i, e in enumerate(self.edges):
-            lists[e.u].append(i)
-            lists[e.v].append(i)
-        return tuple(tuple(l) for l in lists)
-
-    def incident_edges(self, v: int) -> tuple[int, ...]:
-        """Indices of edges incident to node v, in input order."""
-        return self._incident[v]
-
-    def induced_edges(self, nodes: Iterable[int]) -> tuple[int, ...]:
-        """Indices of edges with both endpoints in the given node set."""
-        inside = set(nodes)
-        return tuple(i for i, e in enumerate(self.edges)
-                     if e.u in inside and e.v in inside)
-
     def edge_index(self, u: int, v: int) -> int:
         """Index of the edge {u, v}; raises KeyError if absent."""
         if u > v:
@@ -148,10 +133,12 @@ class Instance:
         return (u, v) in self._pair_index
 
     def min_weight(self) -> Fraction:
-        """Smallest edge weight (0 for an edgeless graph)."""
+        """Smallest edge weight (0 for an edgeless graph), found on the
+        scaled int weights."""
         if not self.edges:
             return ZERO
-        return min(e.weight for e in self.edges)
+        scale, weights = self.scaled_weights
+        return Fraction(min(weights), scale)
 
 
 @dataclass(frozen=True)
@@ -420,36 +407,3 @@ def format_instance(inst: Instance) -> str:
         out.append(f"e {e.u + 1} {e.v + 1} {e.weight}")
     return "\n".join(out) + "\n"
 
-
-def parse_matching(source: Union[str, IO[str], Iterable[str]],
-                   inst: Instance | None = None) -> Matching:
-    """Parse a matching file: lines ``m <u> <v>`` with 1-based ids.
-
-    If an instance is given, every pair must be one of its edges.
-    """
-    pairs: list[tuple[int, int]] = []
-    for lineno, raw in enumerate(_lines(source), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        fields = line.split()
-        if fields[0] != "m" or len(fields) != 3:
-            raise ParseError(f"malformed matching line {line!r}; expected 'm <u> <v>'", lineno)
-        try:
-            u, v = int(fields[1]), int(fields[2])
-        except ValueError:
-            raise ParseError(f"non-integer node id in {line!r}", lineno)
-        if inst is not None:
-            if not (1 <= u <= inst.node_count and 1 <= v <= inst.node_count):
-                raise ParseError(f"node id out of range in {line!r}", lineno)
-            if not inst.has_edge(u - 1, v - 1):
-                raise ParseError(f"{{{u}, {v}}} is not an edge of the instance", lineno)
-        pairs.append((u - 1, v - 1))
-    try:
-        return Matching.from_pairs(pairs)
-    except ValueError as exc:
-        raise ParseError(str(exc), 1)
-
-
-def format_matching(m: Matching) -> str:
-    return "".join(f"m {u + 1} {v + 1}\n" for u, v in m.sorted_edges())

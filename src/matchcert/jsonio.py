@@ -6,6 +6,15 @@ deterministic order so identical inputs produce byte-identical output.
 Readers check every key and type they use and raise ValueError on a
 malformed file. `dumps` writes the same text as the standard library's
 `json.dumps(data, indent=2)`, without its pure-Python indenting encoder.
+
+`run_result_to_dict` returns a run's top-level object, whose `snapshots`
+entry is left for `dumps`: it renders the snapshots array straight to
+text, into the same list of pieces as the rest of the document, which is
+joined once. That array is Theta(n * nu) and dominates every run file, so
+its writer makes each string once per call: the quoted text of each
+rational through a memo keyed by the Fraction's identity (holding each
+key object, so no id is reused while the memo lives), each blossom's node
+list, each matching edge, and the `"17": ` keys of the per-node objects.
 """
 
 from __future__ import annotations
@@ -14,7 +23,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import Any, Callable
 
-from .certificates import CardinalityCertificate, Verdict
+from .certificates import Verdict
 from .engine import (STATUS_NO_PERFECT, STATUS_PERFECT, BlossomDual, DualState,
                      RunResult, Snapshot)
 from .graph import Matching, parse_rational
@@ -64,16 +73,6 @@ def _matching_from_json(pairs: list[Any], n: int) -> Matching:
     return Matching.from_pairs(zip(ends[::2], ends[1::2]))
 
 
-def _duals_to_json(dual: DualState, keys: list[str]) -> dict[str, Any]:
-    return {
-        "singletons": dict(zip(keys, map(rational_to_str, dual.singleton_pi))),
-        "blossoms": [{"nodes": [v + 1 for v in sorted(b.nodes)],
-                      "pi": rational_to_str(b.pi)}
-                     for b in dual.blossoms],
-        "beta": rational_to_str(dual.beta),
-    }
-
-
 def _rational_reader() -> Callable[[Any], Fraction]:
     """str_to_rational with a memo keyed by the exact string, living as
     long as the returned function: one run file repeats few values."""
@@ -105,29 +104,6 @@ def _duals_from_json(data: Any, rational: Callable[[Any], Fraction]) -> DualStat
     return DualState(pi, blossoms, beta)
 
 
-def _certificate_to_json(cert: CardinalityCertificate,
-                         keys: list[str]) -> dict[str, Any]:
-    return {
-        "gamma": rational_to_str(cert.gamma),
-        "y": dict(zip(keys, map(rational_to_str, cert.y))),
-        "z": [{"nodes": [v + 1 for v in sorted(nodes)],
-               "value": rational_to_str(zu)}
-              for nodes, zu in cert.z],
-    }
-
-
-def snapshot_to_dict(snap: Snapshot, keys: list[str]) -> dict[str, Any]:
-    """keys[v] is node v's JSON key, its 1-based id as a string; a run
-    shares one list over all its snapshots."""
-    return {
-        "k": snap.cardinality,
-        "weight": rational_to_str(snap.weight),
-        "matching": _matching_to_json(snap.matching),
-        "duals": _duals_to_json(snap.dual_state, keys),
-        "certificate": _certificate_to_json(snap.certificate, keys),
-    }
-
-
 def _snapshot_from_dict(data: Any, rational: Callable[[Any], Fraction]) -> Snapshot:
     dual_state = _duals_from_json(field(data, "duals", dict), rational)
     n = len(dual_state.singleton_pi)
@@ -140,13 +116,14 @@ def _snapshot_from_dict(data: Any, rational: Callable[[Any], Fraction]) -> Snaps
 
 
 def run_result_to_dict(run: RunResult) -> dict[str, Any]:
-    n = max(len(s.dual_state.singleton_pi) for s in run.snapshots)
-    keys = [str(v + 1) for v in range(n)]
+    """The run's top-level JSON object. Its `snapshots` entry is not a
+    list: it is handed to `dumps`, which writes the array straight to
+    text. Read a run's snapshots back through `json.loads(dumps(...))`."""
     return {
         "status": run.status,
         "mode": run.mode,
         "beta": rational_to_str(run.beta),
-        "snapshots": [snapshot_to_dict(s, keys) for s in run.snapshots],
+        "snapshots": _SnapshotsArray(run.snapshots),
     }
 
 
@@ -220,42 +197,169 @@ def verdict_to_dict(verdict: Verdict) -> dict[str, Any]:
 def dumps(data: dict[str, Any]) -> str:
     """Deterministic JSON text: fixed key order, two-space indent.
 
-    The text equals `json.dumps(data, indent=2) + "\n"`. Each dict and
-    list is joined into its own string, which avoids the standard
-    library's pure-Python indenting encoder and the one list of chunks it
-    collects for the whole document. Values may be str, int, bool, None,
-    lists, tuples and dicts with str keys; anything else is a TypeError.
+    The text equals `json.dumps(data, indent=2) + "\n"`, where a run's
+    `snapshots` entry stands for the array its snapshots serialize to.
+    Every value appends its text to one list of pieces, joined once at
+    the end; the standard library's pure-Python indenting encoder is not
+    used. Values may be str, int, bool, None, lists, tuples and dicts
+    with str keys; anything else is a TypeError.
     """
-    return _encode(data, "\n") + "\n"
+    pieces: list[str] = []
+    _emit(data, "\n", pieces)
+    pieces.append("\n")
+    return "".join(pieces)
 
 
-def _encode(value: Any, newline: str) -> str:
-    """JSON text of one value whose line starts with `newline`."""
+def _emit(value: Any, newline: str, out: list[str]) -> None:
+    """Append the JSON text of one value whose line starts with `newline`."""
     if type(value) is str:
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    inner = newline + "  "
-    if isinstance(value, dict):
+        out.append(encode_basestring_ascii(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, dict):
         if not value:
-            return "{}"
-        items = []
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
         for key, item in value.items():
             if type(key) is not str:
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
-            items.append(encode_basestring_ascii(key) + ": "
-                         + (encode_basestring_ascii(item) if type(item) is str
-                            else _encode(item, inner)))
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
-    if isinstance(value, (list, tuple)):
+            if type(item) is str:
+                out.append(sep + encode_basestring_ascii(key) + ": "
+                           + encode_basestring_ascii(item))
+            else:
+                out.append(sep + encode_basestring_ascii(key) + ": ")
+                _emit(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif isinstance(value, (list, tuple)):
         if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _emit(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif type(value) is _SnapshotsArray:
+        _emit_snapshots(value.snapshots, newline, out)
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+class _SnapshotsArray:
+    """A run's snapshots, standing for their JSON array until `dumps`."""
+
+    __slots__ = ("snapshots",)
+
+    def __init__(self, snapshots: tuple[Snapshot, ...]) -> None:
+        self.snapshots = snapshots
+
+
+class _Memo(dict):
+    """A dict that fills in a missing key with `render(key)`."""
+
+    __slots__ = ("render",)
+
+    def __init__(self, render: Callable[[Any], str]) -> None:
+        super().__init__()
+        self.render = render
+
+    def __missing__(self, key: Any) -> str:
+        text = self[key] = self.render(key)
+        return text
+
+
+def _emit_snapshots(snapshots: tuple[Snapshot, ...], newline: str,
+                    out: list[str]) -> None:
+    """Append the JSON array of a run's snapshots, one piece per snapshot.
+
+    The memos live for this call only. Each rational's quoted string is
+    made once per Fraction object, keyed by its id: the engine shares one
+    object per value across snapshots, and each certificate one per value
+    within itself; `held` keeps every key object alive, so no id is
+    reused while the memo is in use. Each blossom's node list is made
+    once per node set, shared by `duals.blossoms`, `certificate.z` and
+    every snapshot. The singleton and `y` objects are filled into one
+    %-template per length, which holds the `"17": ` keys, in one C call.
+    """
+    if not snapshots:
+        out.append("[]")
+        return
+    i1 = newline + "  "  # a snapshot
+    i2 = i1 + "  "  # its keys
+    i3 = i2 + "  "  # keys of duals and certificate; matching edges
+    i4 = i3 + "  "  # singleton and y entries; blossoms; edge ends
+    i5 = i4 + "  "  # blossom keys
+    i6 = i5 + "  "  # blossom nodes
+    n = max(len(s.dual_state.singleton_pi) for s in snapshots)
+    ids = [str(v) for v in range(1, n + 1)]
+
+    quoted: dict[int, str] = {}
+    held: list[Fraction] = []  # every key object of `quoted`
+
+    def quote(values: Any) -> tuple[str, ...]:
+        try:
+            return tuple(map(quoted.__getitem__, map(id, values)))
+        except KeyError:
+            for key, value in dict(zip(map(id, values), values)).items():
+                if key not in quoted:
+                    quoted[key] = encode_basestring_ascii(rational_to_str(value))
+                    held.append(value)
+            return tuple(map(quoted.__getitem__, map(id, values)))
+
+    # The object mapping node ids 1..size to `size` quoted values.
+    objects = _Memo(lambda size: "{" + ",".join([f'{i4}"{v}": %s' for v in ids[:size]])
+                    + i3 + "}" if size else "{}")
+
+    def rationals(values: tuple[Fraction, ...]) -> str:
+        return objects[len(values)] % quote(values)
+
+    def node_list(nodes: frozenset[int]) -> str:
+        if not nodes:
+            return f'{i4}{{{i5}"nodes": [],{i5}'
+        return (f'{i4}{{{i5}"nodes": [{i6}'
+                + f",{i6}".join([ids[v] for v in sorted(nodes)]) + f"{i5}],{i5}")
+
+    edges = _Memo(lambda e: f"{i3}[{i4}{ids[e[0]]},{i4}{ids[e[1]]}{i3}]")
+    heads = _Memo(node_list)  # a blossom's text up to its value's key
+    tail = i4 + "}"
+
+    def sets(items: Any, label: str) -> str:
+        """The array of (node set, value) pairs `items`, each written as
+        an object of `"nodes"` and the value under `label`."""
+        if not items:
             return "[]"
-        return ("[" + inner + ("," + inner).join([_encode(item, inner) for item in value])
-                + newline + "]")
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        texts = quote([value for _, value in items])
+        return ("[" + ",".join([heads[nodes] + label + text + tail
+                                for (nodes, _), text in zip(items, texts)])
+                + i3 + "]")
+
+    sep = "["
+    for snap in snapshots:
+        dual, cert = snap.dual_state, snap.certificate
+        pairs = snap.matching.sorted_edges()
+        matching = ("[" + ",".join(map(edges.__getitem__, pairs)) + i2 + "]"
+                    if pairs else "[]")
+        weight, beta, gamma = quote((snap.weight, dual.beta, cert.gamma))
+        singletons = rationals(dual.singleton_pi)
+        blossoms = sets([(b.nodes, b.pi) for b in dual.blossoms], '"pi": ')
+        y = rationals(cert.y)
+        z = sets(cert.z, '"value": ')
+        out.append(
+            f'{sep}{i1}{{{i2}"k": {snap.cardinality},{i2}"weight": {weight},'
+            f'{i2}"matching": {matching},{i2}"duals": {{'
+            f'{i3}"singletons": {singletons},{i3}"blossoms": {blossoms},'
+            f'{i3}"beta": {beta}{i2}}},{i2}"certificate": {{'
+            f'{i3}"gamma": {gamma},{i3}"y": {y},{i3}"z": {z}{i2}}}{i1}}}')
+        sep = ","
+    out.append(newline + "]")

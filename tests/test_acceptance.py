@@ -28,6 +28,7 @@ pytest -s; the -v test line carries the same verdict).
 """
 
 import hashlib
+import json
 import random
 import time
 from dataclasses import dataclass
@@ -46,7 +47,7 @@ from matchcert.oracle import OracleTable, min_weight_by_cardinality
 from matchcert.reductions import (build_auxiliary_completion,
                                   build_doubled_graph,
                                   check_perfect_certificate)
-from util import minimum_perfect_weight, random_instance
+from util import minimum_perfect_weight, random_instance, reference_run_dict
 
 SEED = 20260809
 NONNEGATIVE_COUNT = 205
@@ -237,3 +238,9 @@ def test_snapshot_json_matches_golden_digest(suite):
     assert digest.hexdigest() == GOLDEN_DIGEST, \
         "snapshot JSON of the acceptance corpus changed"
     report("golden output", f"{len(suite)} runs byte-identical")
+
+
+def test_snapshot_json_matches_reference_builder(suite):
+    for rec in suite:
+        assert (jsonio.dumps(jsonio.run_result_to_dict(rec.run))
+                == json.dumps(reference_run_dict(rec.run), indent=2) + "\n")

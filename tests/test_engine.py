@@ -31,7 +31,6 @@ class TestSolveRuns:
             [(0, 0), (1, 1), (2, 10)]
         assert run.snapshots[1].matching == Matching.from_pairs([(1, 2)])
         assert run.snapshots[2].matching == Matching.from_pairs([(0, 1), (2, 3)])
-        assert run.final_index == 2
 
     def test_triangle_perfect_mode(self, triangle):
         run = solve(triangle, mode="perfect")

@@ -1,14 +1,23 @@
 import json
+import random
+import sys
+import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from matchcert.certificates import Verdict, Violation, verify_run
 from matchcert.cli import figure2_instance, main
-from matchcert.engine import solve
-from matchcert.graph import format_instance
+from matchcert.engine import ScriptedPolicy, solve
+from matchcert.graph import Instance, format_instance, normalize_weights
 from matchcert.oracle import min_weight_by_cardinality
 from matchcert import jsonio
+
+from util import reference_run_dict
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import corpus  # noqa: E402
 
 ODD_STRINGS = ["", "plain", "caf\u00e9 \u2211 \U0001f600", "tab\tline\nquote\"back\\slash",
                "\x00\x1f\x7f\u2028"]
@@ -22,9 +31,14 @@ def test_rational_strings():
     assert jsonio.str_to_rational("-4") == Fraction(-4)
 
 
+def written(run) -> dict:
+    """A run's JSON object as a reader sees it: written, then parsed."""
+    return json.loads(jsonio.dumps(jsonio.run_result_to_dict(run)))
+
+
 def test_run_result_round_trip(p4):
     run = solve(p4)
-    data = jsonio.run_result_to_dict(run)
+    data = written(run)
     assert jsonio.run_result_from_dict(data) == run
 
 
@@ -37,7 +51,7 @@ def test_run_result_round_trip_with_blossoms(fig2):
 
 
 def test_snapshot_schema_fields(p4):
-    data = jsonio.run_result_to_dict(solve(p4))
+    data = written(solve(p4))
     assert data["status"] == "perfect-found"
     snap = data["snapshots"][1]
     assert snap["k"] == 1
@@ -50,7 +64,7 @@ def test_snapshot_schema_fields(p4):
 
 def test_blossom_serialization_is_one_based(c5_two_tails):
     run = solve(c5_two_tails)
-    data = jsonio.run_result_to_dict(run)
+    data = written(run)
     snap = data["snapshots"][3]
     assert snap["duals"]["blossoms"] == [
         {"nodes": [1, 2, 3, 4, 5], "pi": "0"}]
@@ -97,7 +111,7 @@ def test_rationals_decoded_once_per_file(fig2):
 
 @pytest.mark.parametrize("bad", ["1/0", 1, None, ["1"]])
 def test_bad_rational_rejected_after_good_ones(p4, bad):
-    data = jsonio.run_result_to_dict(solve(p4))
+    data = written(solve(p4))
     data["snapshots"][-1]["duals"]["singletons"]["4"] = bad
     with pytest.raises(ValueError):
         jsonio.run_result_from_dict(data)
@@ -132,9 +146,17 @@ def test_dumps_rejects_other_types(value):
 
 def test_dumps_matches_json_on_every_command(tmp_path, monkeypatch, capsys):
     payloads = []
-    dumps = jsonio.dumps
+    references = {}  # id of a run's payload -> its snapshots as plain lists
+    dumps, to_dict = jsonio.dumps, jsonio.run_result_to_dict
+
+    def run_result_to_dict(run):
+        data = to_dict(run)
+        references[id(data)] = reference_run_dict(run)["snapshots"]
+        return data
+
     monkeypatch.setattr(jsonio, "dumps",
                         lambda data: payloads.append(data) or dumps(data))
+    monkeypatch.setattr(jsonio, "run_result_to_dict", run_result_to_dict)
     negative = tmp_path / "neg.dimacs"
     negative.write_text("p edge 4 3\ne 1 2 -5\ne 2 3 1\ne 3 4 5\n")
     fig2 = tmp_path / "fig2.dimacs"
@@ -154,6 +176,7 @@ def test_dumps_matches_json_on_every_command(tmp_path, monkeypatch, capsys):
     for argv, code in commands:
         assert main(argv) == code
     assert len(payloads) == len(commands)
+    assert list(map(id, payloads[:2])) == list(references)
     # A failing verdict with set and path witnesses.
     payloads.append(jsonio.verdict_to_dict(Verdict((
         Violation("cs-blossom-full:k=1", frozenset({0, 1, 2}), 0, 1),
@@ -162,5 +185,74 @@ def test_dumps_matches_json_on_every_command(tmp_path, monkeypatch, capsys):
         Violation("snapshot-cardinality-sequence:k=2", 1, 2, 1),
     ))))
     for data in payloads:
-        assert dumps(data) == json.dumps(data, indent=2) + "\n"
+        plain = data
+        if id(data) in references:
+            plain = {**data, "snapshots": references[id(data)]}
+        assert dumps(data) == json.dumps(plain, indent=2) + "\n"
     capsys.readouterr()
+
+
+def assert_writes_reference(payload, run):
+    """dumps(payload) is the standard library's text of the payload with
+    its snapshots built as plain dicts by the reference builder."""
+    plain = {**payload, "snapshots": reference_run_dict(run)["snapshots"]}
+    assert jsonio.dumps(payload) == json.dumps(plain, indent=2) + "\n"
+
+
+def ladder_run():
+    """A run on the benchmark's ladder: a nest of 41 blossoms, 84 nodes."""
+    return solve(Instance.from_edges(*corpus.ladder_edges(random.Random(0))))
+
+
+def test_writer_matches_reference_on_a_deep_ladder():
+    run = ladder_run()
+    assert len(run.final.dual_state.blossoms) == corpus.LADDER_DEPTH + 1
+    assert_writes_reference(jsonio.run_result_to_dict(run), run)
+
+
+def test_writer_matches_reference_with_every_payload_key():
+    inst = Instance.from_edges(5, [(0, 1, -3), (1, 2, Fraction(1, 2)), (2, 3, -1),
+                                   (3, 4, 4), (0, 4, Fraction(-7, 3)), (1, 3, 2)])
+    normalized, record = normalize_weights(inst)
+    run = solve(normalized)
+    table = min_weight_by_cardinality(normalized)
+    payload = jsonio.run_result_to_dict(run)
+    payload["normalization"] = {"shift": jsonio.rational_to_str(record.shift)}
+    payload["verification"] = jsonio.verdict_to_dict(verify_run(normalized, run))
+    # Every snapshot listed, so that the block's array has entries.
+    payload["oracle_check"] = {"pass": False, "mismatches": [
+        {"k": s.cardinality, "weight": jsonio.rational_to_str(s.weight),
+         "oracle_min": jsonio.rational_to_str(table.min_weight(s.cardinality))}
+        for s in run.snapshots]}
+    assert record.shift == 3 and payload["verification"]["pass"]
+    assert_writes_reference(payload, run)
+
+
+def test_writer_matches_reference_with_a_failing_verdict(fig2):
+    run = solve(fig2, policy=ScriptedPolicy.single_phase((1, 1, 3)))
+    verdict = verify_run(fig2, run)
+    assert not verdict.passed
+    payload = jsonio.run_result_to_dict(run)
+    payload["verification"] = jsonio.verdict_to_dict(verdict)
+    assert_writes_reference(payload, run)
+
+
+@pytest.mark.parametrize("run", [
+    pytest.param(ladder_run, id="ladder-depth-40"),
+    pytest.param(lambda: solve(Instance.from_edges(
+        64, corpus.sparse_edges(random.Random(64), n=64))), id="sparse-n-64"),
+])
+def test_writing_a_run_peaks_below_a_small_multiple_of_its_text(run):
+    """The snapshots array is written into one list of pieces and joined
+    once, so the peak stays near two copies of the text: the pieces and
+    the joined result. Certificates are built before, as by --verify."""
+    run = run()
+    for snap in run.snapshots:
+        snap.certificate
+    tracemalloc.start()
+    try:
+        text = jsonio.dumps(jsonio.run_result_to_dict(run))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * len(text)

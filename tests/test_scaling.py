@@ -7,6 +7,7 @@ API boundary is an exact Fraction in original units.
 """
 
 import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -19,6 +20,8 @@ from matchcert.engine import (EngineState, InfeasibleUpdateError,
                               compute_alpha, solve)
 from matchcert.graph import Instance
 from matchcert.oracle import min_weight_by_cardinality
+
+from util import reference_run_dict
 
 SEED = 20261018
 COUNT = 120
@@ -51,6 +54,15 @@ def test_snapshot_json_matches_golden_digest():
         digest.update(jsonio.dumps(jsonio.run_result_to_dict(corpus_run(i, inst))).encode())
     assert digest.hexdigest() == GOLDEN_DIGEST, \
         "snapshot JSON of the fractional-weight corpus changed"
+
+
+def test_snapshot_json_matches_reference_builder():
+    """The runs with the 1/5 script rescale mid-run, so later snapshots
+    can hold new Fraction objects for values the writer has already seen."""
+    for i, inst in corpus():
+        run = corpus_run(i, inst)
+        assert (jsonio.dumps(jsonio.run_result_to_dict(run))
+                == json.dumps(reference_run_dict(run), indent=2) + "\n")
 
 
 def test_uniform_runs_verify_and_match_oracle():

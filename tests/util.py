@@ -9,10 +9,12 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
-from matchcert.engine import (DualState, EngineState, ScriptedPolicy,
-                              ShrunkenView, apply_dual_update, compute_alpha,
-                              lift_matching, shrink_blossom, solve)
+from matchcert.engine import (DualState, EngineState, RunResult,
+                              ScriptedPolicy, ShrunkenView, apply_dual_update,
+                              compute_alpha, lift_matching, shrink_blossom,
+                              solve)
 from matchcert.graph import Instance, normalize_weights
+from matchcert.jsonio import rational_to_str
 
 
 def naive_min_by_cardinality(inst: Instance) -> dict[int, tuple[Fraction, tuple]]:
@@ -144,3 +146,39 @@ def checked_steps(inst: Instance, phases=(), beta=0) -> dict[str, int]:
     policy = ScriptedPolicy(tuple(script)) if script else None
     assert lift_matching(state) == solve(inst, policy=policy, beta=beta).final.matching
     return counts
+
+
+def reference_run_dict(run: RunResult) -> dict:
+    """A run's top-level JSON object as plain dicts, lists and strings, the
+    way the program built it before its writer rendered the snapshots
+    array to text: `json.dumps(reference_run_dict(run), indent=2)` is the
+    standard library's text for the run."""
+    n = max(len(s.dual_state.singleton_pi) for s in run.snapshots)
+    keys = [str(v + 1) for v in range(n)]
+
+    def node_sets(items, label):
+        return [{"nodes": [v + 1 for v in sorted(nodes)], label: rational_to_str(x)}
+                for nodes, x in items]
+
+    return {
+        "status": run.status,
+        "mode": run.mode,
+        "beta": rational_to_str(run.beta),
+        "snapshots": [{
+            "k": snap.cardinality,
+            "weight": rational_to_str(snap.weight),
+            "matching": [[u + 1, v + 1] for u, v in snap.matching.sorted_edges()],
+            "duals": {
+                "singletons": dict(zip(keys, map(rational_to_str,
+                                                 snap.dual_state.singleton_pi))),
+                "blossoms": node_sets(((b.nodes, b.pi)
+                                       for b in snap.dual_state.blossoms), "pi"),
+                "beta": rational_to_str(snap.dual_state.beta),
+            },
+            "certificate": {
+                "gamma": rational_to_str(snap.certificate.gamma),
+                "y": dict(zip(keys, map(rational_to_str, snap.certificate.y))),
+                "z": node_sets(snap.certificate.z, "value"),
+            },
+        } for snap in run.snapshots],
+    }
