@@ -21,13 +21,18 @@ complementary slackness against a matching of cardinality k proves, by
 weak LP duality, that the matching has minimum weight among all matchings
 of cardinality k. No LP is ever solved; every check is an exact
 comparison.
+
+Duals and certificates hold ints in units of 1/scale (`DualState`,
+`CardinalityCertificate`). A checker brings them and the instance's
+scaled weights (`Instance.scaled_weights`) to the lcm of the two scales
+and compares ints; only a violation is reported as Fractions, in
+original units.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from math import lcm
 from typing import Iterable
 
@@ -98,21 +103,16 @@ def cut_loads(inst: Instance, dual: DualState) -> tuple[int, list[int], list[int
     """(scale, weights, loads): every edge's weight and cut-form dual load
     as ints in units of 1/scale, in edge order.
 
-    scale is the lcm of the instance's weight scale and the dual
-    denominators. An edge's load is the sum of the duals of the sets that
-    hold exactly one of its ends: both singletons, plus every blossom
-    with nonzero pi that separates them.
+    scale is the lcm of the instance's weight scale and the duals' scale.
+    An edge's load is the sum of the duals of the sets that hold exactly
+    one of its ends: both singletons, plus every blossom with nonzero pi
+    that separates them.
     """
     weight_scale, weights = inst.scaled_weights
-    scale = lcm(weight_scale, *{q.denominator for q in dual.singleton_pi},
-                *{b.pi.denominator for b in dual.blossoms})
-    factor = scale // weight_scale
-
-    def units(q: Fraction) -> int:
-        return q.numerator * (scale // q.denominator)
-
-    pi = list(map(units, dual.singleton_pi))
-    separating = [(b.nodes, units(b.pi)) for b in dual.blossoms if b.pi]
+    scale = lcm(weight_scale, dual.scale)
+    factor = scale // dual.scale
+    pi = dual.pi_units if factor == 1 else [p * factor for p in dual.pi_units]
+    separating = [(b.nodes, b.pi * factor) for b in dual.blossom_units if b.pi]
     loads = []
     for u, v, _ in inst.edges:
         load = pi[u] + pi[v]
@@ -120,16 +120,18 @@ def cut_loads(inst: Instance, dual: DualState) -> tuple[int, list[int], list[int
             if (u in nodes) != (v in nodes):
                 load += p
         loads.append(load)
+    factor = scale // weight_scale
     return scale, [w * factor for w in weights], loads
 
 
 def cut_violations(inst: Instance, dual: DualState,
                    scale: int, weights: list[int], loads: list[int]) -> list[Violation]:
     """The cut-form feasibility violations, given `cut_loads(inst, dual)`."""
-    violations = _family_violations(b.nodes for b in dual.blossoms)
-    for b in dual.blossoms:
+    violations = _family_violations(b.nodes for b in dual.blossom_units)
+    for b in dual.blossom_units:
         if b.pi < 0:
-            violations.append(Violation("blossom-nonneg", b.nodes, b.pi, ZERO))
+            violations.append(Violation("blossom-nonneg", b.nodes,
+                                        Fraction(b.pi, dual.scale), ZERO))
     for e, w, load in zip(inst.edges, weights, loads):
         if load > w:
             violations.append(
@@ -160,36 +162,34 @@ def check_cardinality_certificate(inst: Instance, m: Matching,
     edges (CS3). A passing verdict certifies m is minimum-weight among
     cardinality-k matchings.
 
-    The edge constraints are evaluated on integers: gamma, y, z and the
-    weights multiplied by the lcm of their denominators. The weights come
-    scaled once per instance (`Instance.scaled_weights`) and are brought
-    to the common scale here. Violations are reported in original units.
+    Every check reads the certificate's ints, brought with the weights
+    (`Instance.scaled_weights`, scaled once per instance) to the lcm of
+    the two scales. Violations are reported in original units.
     """
-    violations = _family_violations(nodes for nodes, _ in cert.z)
+    violations = _family_violations(nodes for nodes, _ in cert.z_units)
     violations += non_edge_violations(inst, m)
 
     if len(m) != cert.k:
         violations.append(Violation("cardinality", None, len(m), cert.k))
 
     weight_scale, weights = inst.scaled_weights
-    scale = lcm(weight_scale, *{q.denominator for q in chain(
-        (cert.gamma,), cert.y, (zu for _, zu in cert.z))})
-    factor = scale // weight_scale
-
-    def units(q: Fraction) -> int:
-        return q.numerator * (scale // q.denominator)
-
-    # units() inlined: y holds one value per node, in every snapshot.
-    y = [q.numerator * (scale // q.denominator) for q in cert.y]
-    z = [(nodes, units(zu)) for nodes, zu in cert.z]
-    gamma = units(cert.gamma)
+    scale = lcm(weight_scale, cert.scale)
+    y, z, gamma = cert.y_units, cert.z_units, cert.gamma_units
+    if scale != cert.scale:
+        factor = scale // cert.scale
+        y = [v * factor for v in y]
+        z = [(nodes, zu * factor) for nodes, zu in z]
+        gamma *= factor
+    if scale != weight_scale:
+        factor = scale // weight_scale
+        weights = [w * factor for w in weights]
 
     for v, yv in enumerate(y):
         if yv > 0:
-            violations.append(Violation("y-nonpositive", v, cert.y[v], ZERO))
-    for (nodes, zu), (_, value) in zip(z, cert.z):
+            violations.append(Violation("y-nonpositive", v, Fraction(yv, scale), ZERO))
+    for nodes, zu in z:
         if zu > 0:
-            violations.append(Violation("z-nonpositive", nodes, value, ZERO))
+            violations.append(Violation("z-nonpositive", nodes, Fraction(zu, scale), ZERO))
 
     # Sets with z = 0 add nothing to any sum.
     nonzero = [(nodes, zu) for nodes, zu in z if zu]
@@ -199,7 +199,6 @@ def check_cardinality_certificate(inst: Instance, m: Matching,
         for nodes, zu in nonzero:
             if u in nodes and v in nodes:
                 lhs += zu
-        w *= factor
         if lhs > w:
             violations.append(
                 Violation("edge-feasibility", (u, v), Fraction(lhs, scale), weight))
@@ -210,7 +209,8 @@ def check_cardinality_certificate(inst: Instance, m: Matching,
 
     for v, yv in enumerate(y):
         if yv < 0 and not m.covers(v):
-            violations.append(Violation("cs-exposed-zero-y", v, cert.y[v], ZERO))
+            violations.append(
+                Violation("cs-exposed-zero-y", v, Fraction(yv, scale), ZERO))
 
     for nodes, zu in z:
         if zu < 0:

@@ -14,6 +14,7 @@ import stat
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Any, Sequence
 
 from . import certificates, jsonio, oracle, reductions
@@ -226,10 +227,10 @@ def _load_run(path: str, inst: Instance) -> tuple[RunResult, Instance]:
             raise ValueError(f"{path}: JSON nested too deeply to read")
     run = jsonio.run_result_from_dict(data)
     for snap in run.snapshots:
-        if len(snap.dual_state.singleton_pi) != inst.node_count:
+        if len(snap.dual_state.pi_units) != inst.node_count:
             raise ValueError(
                 f"snapshot k={snap.cardinality} has duals for "
-                f"{len(snap.dual_state.singleton_pi)} nodes, but the instance "
+                f"{len(snap.dual_state.pi_units)} nodes, but the instance "
                 f"has {inst.node_count}")
     normalization = jsonio.field(data, "normalization", dict, {})
     if normalization:
@@ -292,13 +293,7 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
     payload = {
         "instance": format_instance(comp.aux_instance),
         "matching": [[u + 1, v + 1] for u, v in comp.extended_matching.sorted_edges()],
-        "duals": {
-            "singletons": {str(v + 1): jsonio.rational_to_str(p)
-                           for v, p in enumerate(comp.lifted_duals.singleton_pi)},
-            "blossoms": [{"nodes": [v + 1 for v in sorted(b.nodes)],
-                          "pi": jsonio.rational_to_str(b.pi)}
-                         for b in comp.lifted_duals.blossoms],
-        },
+        "duals": jsonio.dual_state_to_dict(comp.lifted_duals),
         "exposed": [v + 1 for v in comp.exposed_nodes],
         "check": jsonio.verdict_to_dict(verdict),
     }
@@ -310,7 +305,10 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing keeps no
+    state in it."""
     parser = argparse.ArgumentParser(
         prog="matchcert",
         description="Weighted matching solver whose every intermediate "

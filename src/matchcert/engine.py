@@ -38,9 +38,13 @@ Design notes:
     1/D (with integer weights, duals are multiples of 1/2). An amount
     handed in from outside (a scripted phase, or a direct call of
     `apply_dual_update`) that is not a multiple of 1/D first multiplies D
-    by the missing factor, rescaling every stored int. Values cross the
-    API boundary as exact Fractions in original units: `pi_node`,
-    `AlphaResult.alpha`, `InfeasibleUpdateError`, `DualState`.
+    by the missing factor, rescaling every stored int. A snapshot's
+    `DualState` and its `CardinalityCertificate` keep that form: a scale
+    plus int numerators, reduced to the smallest scale, so equal duals
+    are equal whatever D was. Values cross the API boundary as exact
+    Fractions in original units: `pi_node`, `AlphaResult.alpha`,
+    `InfeasibleUpdateError`, `Snapshot.weight`, and the read-only
+    Fraction views of `DualState` and `CardinalityCertificate`.
   * Each node's accumulated dual pi*(v) (its own dual plus the duals of
     all blossoms containing it) is kept current: a dual update moves it
     by the step of the node's maximal set, and shrinking or expanding a
@@ -57,7 +61,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import gcd, lcm
 from typing import Callable, Iterable, Iterator, Mapping, Union
 
@@ -98,12 +102,31 @@ class InfeasibleUpdateError(ValueError):
 # Frozen dual state, snapshots, run results
 
 
+@lru_cache(maxsize=1024)
+def _shared(value: Fraction) -> Fraction:
+    """One Fraction object per value among the values viewed lately: a
+    run repeats few values, so the views of its snapshots share them."""
+    return value
+
+
+def _view(units: Iterable[int], scale: int) -> tuple[Fraction, ...]:
+    """units / scale as shared Fractions."""
+    return tuple(_shared(Fraction(p, scale)) for p in units)
+
+
+def _units(values: tuple[Fraction, ...], scale: int) -> tuple[int, ...]:
+    """Each value times scale, which every denominator divides."""
+    return tuple(q.numerator * (scale // q.denominator) for q in values)
+
+
 @dataclass(frozen=True)
 class BlossomDual:
-    """One odd set of the laminar family with its dual value."""
+    """One odd set of the laminar family with its dual value: an int in
+    units of 1/scale in `DualState.blossom_units`, a Fraction in the view
+    `DualState.blossoms`."""
 
     nodes: frozenset[int]
-    pi: Fraction
+    pi: int | Fraction
 
 
 @dataclass(frozen=True)
@@ -111,22 +134,56 @@ class DualState:
     """Immutable copy of the duals: singleton values plus all blossoms.
 
     The laminar family is the set of all singletons together with the
-    node sets of `blossoms` (nested members included). Any odd set not
+    node sets of the blossoms (nested members included). Any odd set not
     listed has dual value 0.
+
+    The duals are ints in units of 1/scale: `pi_units[v]` for node v and
+    one `BlossomDual` with an int `pi` per blossom. scale is the smallest
+    that makes every dual an int, so equal duals are equal states.
+    `singleton_pi` and `blossoms` are read-only Fraction views of these
+    ints, built on first access; `from_fractions` builds a state from
+    Fractions.
     """
 
-    singleton_pi: tuple[Fraction, ...]
-    blossoms: tuple[BlossomDual, ...]
+    scale: int
+    pi_units: tuple[int, ...]
+    blossom_units: tuple[BlossomDual, ...]
     beta: Fraction = ZERO
 
+    @classmethod
+    def from_fractions(cls, singleton_pi: Iterable[Fraction],
+                       blossoms: Iterable[BlossomDual] = (),
+                       beta: Fraction = ZERO) -> "DualState":
+        """The state of these Fraction duals, at the lcm of their
+        denominators."""
+        singleton_pi, blossoms = tuple(singleton_pi), tuple(blossoms)
+        scale = lcm(*{q.denominator for q in singleton_pi},
+                    *{b.pi.denominator for b in blossoms})
+        return cls(scale, _units(singleton_pi, scale),
+                   tuple(BlossomDual(b.nodes, b.pi.numerator * (scale // b.pi.denominator))
+                         for b in blossoms),
+                   beta)
 
-def accumulated_pi(base: Iterable[Fraction], sets: Iterable) -> list[Fraction]:
+    @cached_property
+    def singleton_pi(self) -> tuple[Fraction, ...]:
+        return _view(self.pi_units, self.scale)
+
+    @cached_property
+    def blossoms(self) -> tuple[BlossomDual, ...]:
+        return tuple(BlossomDual(b.nodes, _shared(Fraction(b.pi, self.scale)))
+                     for b in self.blossom_units)
+
+
+def accumulated_pi(base: Iterable, sets: Iterable) -> list:
     """Accumulated dual pi*(v) of every node: its base value plus the pi of
-    each given set (anything with `nodes` and `pi`) that contains it."""
+    each given set (anything with `nodes` and `pi`) that contains it.
+    Works alike on ints of one scale and on Fractions."""
     acc = list(base)
     for s in sets:
-        for v in s.nodes:
-            acc[v] += s.pi
+        pi = s.pi
+        if pi:
+            for v in s.nodes:
+                acc[v] += pi
     return acc
 
 
@@ -134,13 +191,46 @@ def accumulated_pi(base: Iterable[Fraction], sets: Iterable) -> list[Fraction]:
 class CardinalityCertificate:
     """A dual solution (gamma, y, z) claiming optimality at cardinality k.
 
-    z is sparse: sets absent from it have value 0.
+    Like `DualState`, it holds ints in units of 1/scale, at the smallest
+    such scale: `gamma_units`, `y_units[v]`, and `z_units`, which is
+    sparse (sets absent from it have value 0). `gamma`, `y` and `z` are
+    read-only Fraction views, built on first access; `from_fractions`
+    builds a certificate from Fractions.
     """
 
-    gamma: Fraction
-    y: tuple[Fraction, ...]
-    z: tuple[tuple[frozenset[int], Fraction], ...]
+    scale: int
+    gamma_units: int
+    y_units: tuple[int, ...]
+    z_units: tuple[tuple[frozenset[int], int], ...]
     k: int
+
+    @classmethod
+    def from_fractions(cls, gamma: Fraction, y: Iterable[Fraction],
+                       z: Iterable[tuple[frozenset[int], Fraction]],
+                       k: int) -> "CardinalityCertificate":
+        """The certificate of these Fraction values, at the lcm of their
+        denominators."""
+        y, z = tuple(y), tuple(z)
+        scale = lcm(gamma.denominator, *{q.denominator for q in y},
+                    *{zu.denominator for _, zu in z})
+        return cls(scale, gamma.numerator * (scale // gamma.denominator),
+                   _units(y, scale),
+                   tuple((nodes, zu.numerator * (scale // zu.denominator))
+                         for nodes, zu in z),
+                   k)
+
+    @cached_property
+    def gamma(self) -> Fraction:
+        return _shared(Fraction(self.gamma_units, self.scale))
+
+    @cached_property
+    def y(self) -> tuple[Fraction, ...]:
+        return _view(self.y_units, self.scale)
+
+    @cached_property
+    def z(self) -> tuple[tuple[frozenset[int], Fraction], ...]:
+        return tuple((nodes, _shared(Fraction(zu, self.scale)))
+                     for nodes, zu in self.z_units)
 
 
 def transform_duals(dual: DualState, k: int) -> CardinalityCertificate:
@@ -150,32 +240,24 @@ def transform_duals(dual: DualState, k: int) -> CardinalityCertificate:
     z_U = -2 pi(U) on every blossom of the family. y <= 0 and z <= 0 hold
     by construction (blossom duals are nonnegative).
 
-    The duals are scaled to ints by the lcm of their denominators, pi* is
-    accumulated on those ints, and each distinct result becomes one
-    Fraction in original units.
+    Everything is computed on the duals' ints, in their scale, and the
+    result is reduced to its own smallest scale by one gcd.
     """
-    scale = lcm(*{q.denominator for q in dual.singleton_pi},
-                *{b.pi.denominator for b in dual.blossoms})
-
-    def units(q: Fraction) -> int:
-        return q.numerator * (scale // q.denominator)
-
-    fractions: dict[int, Fraction] = {}
-
-    def fraction(value: int) -> Fraction:
-        q = fractions.get(value)
-        if q is None:
-            q = fractions[value] = Fraction(value, scale)
-        return q
-
-    blossoms = [BlossomDual(b.nodes, units(b.pi)) for b in dual.blossoms]
-    pi_star = accumulated_pi(map(units, dual.singleton_pi), blossoms)
-    pi_star_max = max(pi_star)
+    pi_star = accumulated_pi(dual.pi_units, dual.blossom_units)
+    top = max(pi_star)
+    gamma = 2 * top
+    y = [p - top for p in pi_star]
+    z = [-2 * b.pi for b in dual.blossom_units]
+    scale = dual.scale
+    g = gcd(scale, gamma, *y, *z)
+    if g > 1:
+        scale //= g
+        gamma //= g
+        y = [p // g for p in y]
+        z = [zu // g for zu in z]
     return CardinalityCertificate(
-        fraction(2 * pi_star_max),
-        tuple(fraction(p - pi_star_max) for p in pi_star),
-        tuple((b.nodes, fraction(-2 * b.pi)) for b in blossoms),
-        k)
+        scale, gamma, tuple(y),
+        tuple((b.nodes, zu) for b, zu in zip(dual.blossom_units, z)), k)
 
 
 @dataclass(frozen=True)
@@ -408,7 +490,6 @@ class EngineState:
         self._weights = [self._units(e.weight) for e in inst.edges]
         self._pi = [self._units(beta)] * inst.node_count
         self._pi_star = list(self._pi)
-        self._fractions: dict[int, Fraction] = {}
         self.blossoms: list[_Blossom] = []  # maximal nontrivial blossoms
         self.crossing: set[Pair] = set()
         self._view: ShrunkenView | None = None
@@ -430,14 +511,6 @@ class EngineState:
         """value * scale, which must be an integer."""
         return value.numerator * (self._scale // value.denominator)
 
-    def _fraction(self, units: int) -> Fraction:
-        """units / scale as a Fraction; one shared object per value, so
-        snapshots holding the same dual share it."""
-        value = self._fractions.get(units)
-        if value is None:
-            value = self._fractions[units] = Fraction(units, self._scale)
-        return value
-
     def _admit(self, amounts: Iterable[Fraction]) -> None:
         """Grow the scale once so that every amount is a whole number of
         units, multiplying every stored int by the same factor."""
@@ -451,12 +524,11 @@ class EngineState:
         self._pi_star = [p * factor for p in self._pi_star]
         for rec in self._records():
             rec.pi *= factor
-        self._fractions = {}
 
     @property
     def pi_node(self) -> list[Fraction]:
         """Singleton duals in original units."""
-        return [self._fraction(p) for p in self._pi]
+        return [Fraction(p, self._scale) for p in self._pi]
 
     def _records(self) -> Iterator[_Blossom]:
         """Every blossom record, nested ones included."""
@@ -617,10 +689,14 @@ class EngineState:
     # -- snapshots ------------------------------------------------------------
 
     def frozen_duals(self) -> DualState:
+        """The engine's own ints, divided by their gcd with the scale."""
         records = sorted(self._records(), key=lambda r: (r.key, len(r.nodes)))
+        pi, scale = self._pi, self._scale
+        g = gcd(scale, *pi, *(r.pi for r in records))
         return DualState(
-            tuple(self.pi_node),
-            tuple(BlossomDual(r.nodes, self._fraction(r.pi)) for r in records),
+            scale // g,
+            tuple(pi) if g == 1 else tuple(p // g for p in pi),
+            tuple(BlossomDual(r.nodes, r.pi // g) for r in records),
             self.beta)
 
     def snapshot(self) -> Snapshot:

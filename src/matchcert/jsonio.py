@@ -12,9 +12,14 @@ entry is left for `dumps`: it renders the snapshots array straight to
 text, into the same list of pieces as the rest of the document, which is
 joined once. That array is Theta(n * nu) and dominates every run file, so
 its writer makes each string once per call: the quoted text of each
-rational through a memo keyed by the Fraction's identity (holding each
-key object, so no id is reused while the memo lives), each blossom's node
-list, each matching edge, and the `"17": ` keys of the per-node objects.
+rational, through a memo keyed by (scale, int) that reads the duals' and
+certificates' ints as they are, each blossom's node list, each matching
+edge, and the `"17": ` keys of the per-node objects. A rational's text is
+always `str(Fraction(units, scale))`, so it is the same whatever scale
+the value comes in.
+
+The reader fills the same int form: each snapshot's duals at the lcm of
+their denominators, through a memo of each distinct string.
 """
 
 from __future__ import annotations
@@ -101,12 +106,12 @@ def _duals_from_json(data: Any, rational: Callable[[Any], Fraction]) -> DualStat
                     rational(field(item, "pi", str)))
         for item in field(data, "blossoms", list, []))
     beta = rational(field(data, "beta", str, "0"))
-    return DualState(pi, blossoms, beta)
+    return DualState.from_fractions(pi, blossoms, beta)
 
 
 def _snapshot_from_dict(data: Any, rational: Callable[[Any], Fraction]) -> Snapshot:
     dual_state = _duals_from_json(field(data, "duals", dict), rational)
-    n = len(dual_state.singleton_pi)
+    n = len(dual_state.pi_units)
     return Snapshot(
         cardinality=field(data, "k", int),
         matching=_matching_from_json(field(data, "matching", list), n),
@@ -145,6 +150,17 @@ def run_result_from_dict(data: Any) -> RunResult:
         mode=mode,
         beta=rational(field(data, "beta", str, "0")),
     )
+
+
+def dual_state_to_dict(dual: DualState) -> dict[str, Any]:
+    """The `singletons` and `blossoms` objects of a dual state, rendered
+    from its ints with one string per distinct value."""
+    text = _Memo(lambda units: _rational_text(units, dual.scale))
+    return {
+        "singletons": {str(v + 1): text[p] for v, p in enumerate(dual.pi_units)},
+        "blossoms": [{"nodes": [v + 1 for v in sorted(b.nodes)], "pi": text[b.pi]}
+                     for b in dual.blossom_units],
+    }
 
 
 def oracle_table_to_dict(table: OracleTable) -> dict[str, Any]:
@@ -265,6 +281,11 @@ class _SnapshotsArray:
         self.snapshots = snapshots
 
 
+def _rational_text(units: int, scale: int) -> str:
+    """The text of the rational units / scale, as `rational_to_str`."""
+    return str(Fraction(units, scale))
+
+
 class _Memo(dict):
     """A dict that fills in a missing key with `render(key)`."""
 
@@ -284,12 +305,11 @@ def _emit_snapshots(snapshots: tuple[Snapshot, ...], newline: str,
     """Append the JSON array of a run's snapshots, one piece per snapshot.
 
     The memos live for this call only. Each rational's quoted string is
-    made once per Fraction object, keyed by its id: the engine shares one
-    object per value across snapshots, and each certificate one per value
-    within itself; `held` keeps every key object alive, so no id is
-    reused while the memo is in use. Each blossom's node list is made
-    once per node set, shared by `duals.blossoms`, `certificate.z` and
-    every snapshot. The singleton and `y` objects are filled into one
+    made once per (scale, int): the duals and certificates are read as
+    their ints, one memo per scale, and a Fraction (a weight or beta) as
+    its (denominator, numerator). Each blossom's node list is made once
+    per node set, shared by `duals.blossoms`, `certificate.z` and every
+    snapshot. The singleton and `y` objects are filled into one
     %-template per length, which holds the `"17": ` keys, in one C call.
     """
     if not snapshots:
@@ -301,28 +321,23 @@ def _emit_snapshots(snapshots: tuple[Snapshot, ...], newline: str,
     i4 = i3 + "  "  # singleton and y entries; blossoms; edge ends
     i5 = i4 + "  "  # blossom keys
     i6 = i5 + "  "  # blossom nodes
-    n = max(len(s.dual_state.singleton_pi) for s in snapshots)
+    n = max(len(s.dual_state.pi_units) for s in snapshots)
     ids = [str(v) for v in range(1, n + 1)]
 
-    quoted: dict[int, str] = {}
-    held: list[Fraction] = []  # every key object of `quoted`
+    def quoted_in(scale: int) -> _Memo:
+        return _Memo(lambda units: encode_basestring_ascii(_rational_text(units, scale)))
 
-    def quote(values: Any) -> tuple[str, ...]:
-        try:
-            return tuple(map(quoted.__getitem__, map(id, values)))
-        except KeyError:
-            for key, value in dict(zip(map(id, values), values)).items():
-                if key not in quoted:
-                    quoted[key] = encode_basestring_ascii(rational_to_str(value))
-                    held.append(value)
-            return tuple(map(quoted.__getitem__, map(id, values)))
+    scales = _Memo(quoted_in)  # scale -> (units -> quoted text)
+
+    def quote(value: Fraction) -> str:
+        return scales[value.denominator][value.numerator]
 
     # The object mapping node ids 1..size to `size` quoted values.
     objects = _Memo(lambda size: "{" + ",".join([f'{i4}"{v}": %s' for v in ids[:size]])
                     + i3 + "}" if size else "{}")
 
-    def rationals(values: tuple[Fraction, ...]) -> str:
-        return objects[len(values)] % quote(values)
+    def rationals(units: tuple[int, ...], quoted: _Memo) -> str:
+        return objects[len(units)] % tuple(map(quoted.__getitem__, units))
 
     def node_list(nodes: frozenset[int]) -> str:
         if not nodes:
@@ -334,32 +349,31 @@ def _emit_snapshots(snapshots: tuple[Snapshot, ...], newline: str,
     heads = _Memo(node_list)  # a blossom's text up to its value's key
     tail = i4 + "}"
 
-    def sets(items: Any, label: str) -> str:
-        """The array of (node set, value) pairs `items`, each written as
+    def sets(items: Any, quoted: _Memo, label: str) -> str:
+        """The array of (node set, units) pairs `items`, each written as
         an object of `"nodes"` and the value under `label`."""
         if not items:
             return "[]"
-        texts = quote([value for _, value in items])
-        return ("[" + ",".join([heads[nodes] + label + text + tail
-                                for (nodes, _), text in zip(items, texts)])
+        return ("[" + ",".join([heads[nodes] + label + quoted[units] + tail
+                                for nodes, units in items])
                 + i3 + "]")
 
     sep = "["
     for snap in snapshots:
         dual, cert = snap.dual_state, snap.certificate
+        in_dual, in_cert = scales[dual.scale], scales[cert.scale]
         pairs = snap.matching.sorted_edges()
         matching = ("[" + ",".join(map(edges.__getitem__, pairs)) + i2 + "]"
                     if pairs else "[]")
-        weight, beta, gamma = quote((snap.weight, dual.beta, cert.gamma))
-        singletons = rationals(dual.singleton_pi)
-        blossoms = sets([(b.nodes, b.pi) for b in dual.blossoms], '"pi": ')
-        y = rationals(cert.y)
-        z = sets(cert.z, '"value": ')
+        singletons = rationals(dual.pi_units, in_dual)
+        blossoms = sets([(b.nodes, b.pi) for b in dual.blossom_units], in_dual, '"pi": ')
+        y = rationals(cert.y_units, in_cert)
+        z = sets(cert.z_units, in_cert, '"value": ')
         out.append(
-            f'{sep}{i1}{{{i2}"k": {snap.cardinality},{i2}"weight": {weight},'
+            f'{sep}{i1}{{{i2}"k": {snap.cardinality},{i2}"weight": {quote(snap.weight)},'
             f'{i2}"matching": {matching},{i2}"duals": {{'
             f'{i3}"singletons": {singletons},{i3}"blossoms": {blossoms},'
-            f'{i3}"beta": {beta}{i2}}},{i2}"certificate": {{'
-            f'{i3}"gamma": {gamma},{i3}"y": {y},{i3}"z": {z}{i2}}}{i1}}}')
+            f'{i3}"beta": {quote(dual.beta)}{i2}}},{i2}"certificate": {{'
+            f'{i3}"gamma": {in_cert[cert.gamma_units]},{i3}"y": {y},{i3}"z": {z}{i2}}}{i1}}}')
         sep = ","
     out.append(newline + "]")

@@ -65,21 +65,22 @@ def build_auxiliary_completion(inst: Instance, snapshot: Snapshot) -> AuxiliaryC
     carries dual value minus the maximum accumulated dual, which makes its
     matching edge tight. Requires every exposed node to sit at the
     maximum accumulated dual (true for uniform-policy runs); otherwise
-    raises CompletionRefusedError with the witness node.
+    raises CompletionRefusedError with the witness node. The lifted duals
+    are the snapshot's ints, in its scale, with k helper values appended.
     """
-    pi_star = accumulated_pi(snapshot.dual_state.singleton_pi,
-                             snapshot.dual_state.blossoms)
+    dual = snapshot.dual_state
+    pi_star = accumulated_pi(dual.pi_units, dual.blossom_units)
     pi_star_max = max(pi_star)
     exposed = snapshot.matching.exposed(inst)
     for v in exposed:
         if pi_star[v] != pi_star_max:
-            raise CompletionRefusedError(v, pi_star[v], pi_star_max)
+            raise CompletionRefusedError(v, Fraction(pi_star[v], dual.scale),
+                                         Fraction(pi_star_max, dual.scale))
 
     n = inst.node_count
     k = len(exposed)
     if k == 0:
-        return AuxiliaryCompletion(inst, snapshot.matching,
-                                   snapshot.dual_state, n, ())
+        return AuxiliaryCompletion(inst, snapshot.matching, dual, n, ())
 
     edges = list(inst.edges)
     for i in range(k):
@@ -92,10 +93,10 @@ def build_auxiliary_completion(inst: Instance, snapshot: Snapshot) -> AuxiliaryC
     pairs.update((exposed[i], n + i) for i in range(k))
     extended = Matching(frozenset(pairs))
 
-    duals = DualState(
-        snapshot.dual_state.singleton_pi + (-pi_star_max,) * k,
-        snapshot.dual_state.blossoms,
-        snapshot.dual_state.beta)
+    # pi_star_max is a sum of the duals' ints, so the scale stays the
+    # smallest one.
+    duals = DualState(dual.scale, dual.pi_units + (-pi_star_max,) * k,
+                      dual.blossom_units, dual.beta)
     return AuxiliaryCompletion(aux, extended, duals, n, exposed)
 
 
@@ -133,7 +134,7 @@ def check_perfect_certificate(comp: AuxiliaryCompletion) -> Verdict:
     if matched_edges != len(m):
         violations += non_edge_violations(inst, m)
 
-    for b in dual.blossoms:
+    for b in dual.blossom_units:
         if b.pi > 0:
             leaving = sum(1 for u, v in m.edges if (u in b.nodes) != (v in b.nodes))
             if leaving != 1:

@@ -47,7 +47,8 @@ from matchcert.oracle import OracleTable, min_weight_by_cardinality
 from matchcert.reductions import (build_auxiliary_completion,
                                   build_doubled_graph,
                                   check_perfect_certificate)
-from util import minimum_perfect_weight, random_instance, reference_run_dict
+from util import (assert_round_trip, minimum_perfect_weight, random_instance,
+                  reference_run_dict, replaced)
 
 SEED = 20260809
 NONNEGATIVE_COUNT = 205
@@ -122,8 +123,7 @@ def test_criterion_2_certificates_sound_and_mutation_sensitive(suite):
     for rec, snap in sampled:
         cert = transform_duals(snap.dual_state, snap.cardinality)
 
-        from dataclasses import replace
-        bumped = replace(cert, gamma=cert.gamma + 1)
+        bumped = replaced(cert, gamma=cert.gamma + 1)
         assert not check_cardinality_certificate(
             rec.normalized, snap.matching, bumped).passed, \
             "gamma perturbation went undetected"
@@ -244,3 +244,9 @@ def test_snapshot_json_matches_reference_builder(suite):
     for rec in suite:
         assert (jsonio.dumps(jsonio.run_result_to_dict(rec.run))
                 == json.dumps(reference_run_dict(rec.run), indent=2) + "\n")
+
+
+def test_runs_round_trip_through_json(suite):
+    for rec in suite:
+        assert_round_trip(rec.normalized, rec.run)
+    report("int-form round trip", f"{len(suite)} runs read back equal")

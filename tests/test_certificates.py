@@ -12,16 +12,16 @@ from matchcert.engine import (STATUS_NO_PERFECT, STATUS_PERFECT, BlossomDual,
                               DualState, ScriptedPolicy, accumulated_pi, solve)
 from matchcert.graph import Instance, Matching
 from matchcert.oracle import min_weight_by_cardinality
-from util import edge_load, random_instance
+from util import edge_load, random_instance, replaced
 
 HALF = Fraction(1, 2)
 ZERO = Fraction(0)
 
 
 def duals(singles, blossoms=()) -> DualState:
-    return DualState(tuple(Fraction(s) for s in singles),
-                     tuple(BlossomDual(frozenset(nodes), Fraction(pi))
-                           for nodes, pi in blossoms))
+    return DualState.from_fractions(tuple(Fraction(s) for s in singles),
+                                    tuple(BlossomDual(frozenset(nodes), Fraction(pi))
+                                          for nodes, pi in blossoms))
 
 
 def random_laminar_duals(rng: random.Random, n: int,
@@ -44,8 +44,8 @@ def random_laminar_duals(rng: random.Random, n: int,
     low = 0 if nonnegative_blossoms else -4
     singles = [Fraction(rng.randint(-8, 8), rng.choice([1, 2])) for _ in range(n)]
     pis = [Fraction(rng.randint(low, 6), rng.choice([1, 2])) for _ in blossoms]
-    return DualState(tuple(singles),
-                     tuple(BlossomDual(b, p) for b, p in zip(blossoms, pis)))
+    return DualState.from_fractions(tuple(singles),
+                                    tuple(BlossomDual(b, p) for b, p in zip(blossoms, pis)))
 
 
 def accumulate(dual: DualState) -> list[Fraction]:
@@ -56,7 +56,7 @@ def fraction_transform(dual: DualState, k: int) -> CardinalityCertificate:
     """The certificate by its definition, in Fraction arithmetic."""
     pi_star = accumulate(dual)
     top = max(pi_star)
-    return CardinalityCertificate(
+    return CardinalityCertificate.from_fractions(
         2 * top, tuple(p - top for p in pi_star),
         tuple((b.nodes, -2 * b.pi) for b in dual.blossoms), k)
 
@@ -175,7 +175,7 @@ class TestCutLoadsOnInts:
         n = rng.randint(3, 12)
         family = random_laminar_duals(rng, n).blossoms
         d = self.DENOMINATORS
-        dual = DualState(
+        dual = DualState.from_fractions(
             tuple(Fraction(rng.randint(-6, 8), rng.choice(d)) for _ in range(n)),
             # Nonnegative, and often 0: zero-pi blossoms add nothing.
             tuple(BlossomDual(b.nodes, Fraction(rng.randint(0, 3), rng.choice(d)))
@@ -211,10 +211,17 @@ class TestCardinalityCertificate:
         assert cert.gamma == 1 and cert.y == (0, 0, 0, 0)
         assert check_cardinality_certificate(p4, m, cert).passed
 
+    def test_reduced_to_the_smallest_scale(self):
+        # Duals in halves, an integral certificate: it is kept at scale 1,
+        # so it equals the certificate built from its values.
+        cert = transform_duals(duals([HALF] * 4), 1)
+        assert (cert.scale, cert.gamma_units, cert.y_units) == (1, 1, (0, 0, 0, 0))
+        assert cert == CardinalityCertificate.from_fractions(Fraction(1), (ZERO,) * 4, (), 1)
+
     def test_cs2_violation_on_exposed_negative_y(self, p4):
         m = Matching.from_pairs([(1, 2)])
         cert = transform_duals(duals([HALF] * 4), 1)
-        mutated = replace(cert, y=(Fraction(-1),) + cert.y[1:])
+        mutated = replaced(cert, y=(Fraction(-1),) + cert.y[1:])
         verdict = check_cardinality_certificate(p4, m, mutated)
         assert "cs-exposed-zero-y" in [v.constraint for v in verdict.violations]
 
@@ -241,7 +248,7 @@ class TestCardinalityCertificate:
         run = solve(p4)
         snap = run.snapshots[2]
         cert = transform_duals(snap.dual_state, 2)
-        bumped = replace(cert, gamma=cert.gamma + 1)
+        bumped = replaced(cert, gamma=cert.gamma + 1)
         verdict = check_cardinality_certificate(p4, snap.matching, bumped)
         assert not verdict.passed
         assert any(v.constraint == "edge-feasibility" for v in verdict.violations)
@@ -294,9 +301,9 @@ class TestFamilyChecks:
         inst = Instance.from_edges(3, [(0, 1, 1), (1, 2, 1)])
         m = Matching.from_pairs([(0, 1)])
         third = Fraction(1, 3)
-        cert = CardinalityCertificate(4 * third, (ZERO, -third, ZERO), (), 1)
+        cert = CardinalityCertificate.from_fractions(4 * third, (ZERO, -third, ZERO), (), 1)
         assert check_cardinality_certificate(inst, m, cert).passed
-        verdict = check_cardinality_certificate(inst, m, replace(cert, gamma=5 * third))
+        verdict = check_cardinality_certificate(inst, m, replaced(cert, gamma=5 * third))
         assert [(v.constraint, v.witness, v.lhs, v.rhs) for v in verdict.violations] == [
             ("edge-feasibility", (0, 1), 4 * third, 1),
             ("edge-feasibility", (1, 2), 4 * third, 1)]

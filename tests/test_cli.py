@@ -157,6 +157,26 @@ class TestSolveCommand:
         assert built == [0, 1, 2]
 
 
+class TestParser:
+    def test_one_parser_serves_every_call(self, capsys, tmp_path, p4_file):
+        # solve, a failing verify, then solve again: in one process they
+        # print what each prints as the first call of a fresh process.
+        run_path, bad_path = tmp_path / "run.json", tmp_path / "bad.json"
+        run_cli(capsys, "solve", p4_file, "--snapshots", str(bad_path))
+        bad_path.write_text(bad_path.read_text().replace('"weight": "1"', '"weight": "2"'))
+        calls = [("solve", p4_file, "--verify", "--snapshots", str(run_path)),
+                 ("verify", p4_file, "--run", str(bad_path)),
+                 ("solve", p4_file, "--mode", "perfect")]
+        first = []
+        for argv in calls:
+            cli.build_parser.cache_clear()
+            first.append(run_cli(capsys, *argv)[:2])
+        assert [code for code, _ in first] == [0, 2, 0]
+        parser = cli.build_parser()
+        assert [run_cli(capsys, *argv)[:2] for argv in calls] == first
+        assert cli.build_parser() is parser
+
+
 def verify_tampered(capsys, tmp_path, instance_file, tamper):
     """Solve P4, edit the snapshots file with `tamper`, then verify it
     against `instance_file`."""

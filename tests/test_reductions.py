@@ -60,7 +60,7 @@ class TestAuxiliaryCompletion:
     def test_perturbed_helper_dual_fails(self, p4):
         run = solve(p4)
         comp = build_auxiliary_completion(p4, run.snapshots[1])
-        forged = replace(comp, lifted_duals=DualState(
+        forged = replace(comp, lifted_duals=DualState.from_fractions(
             comp.lifted_duals.singleton_pi[:4] + (Fraction(0), -HALF),
             comp.lifted_duals.blossoms))
         verdict = check_perfect_certificate(forged)
@@ -80,7 +80,7 @@ class TestAuxiliaryCompletion:
         for shift, expected in ((HALF, "edge-load"), (-HALF, "cs-matched-edge-tight")):
             pi = list(comp.lifted_duals.singleton_pi)
             pi[4] += shift
-            forged = replace(comp, lifted_duals=DualState(
+            forged = replace(comp, lifted_duals=DualState.from_fractions(
                 tuple(pi), comp.lifted_duals.blossoms))
             verdict = check_perfect_certificate(forged)
             assert [v.constraint for v in verdict.violations
@@ -120,7 +120,7 @@ class TestAuxiliaryCompletion:
                 pi[-1] += rng.choice((Fraction(1, 3), Fraction(-1, 7)))
                 blossoms = tuple(replace(b, pi=b.pi + Fraction(1, 2))
                                  for b in dual.blossoms)
-                forged = replace(comp, lifted_duals=DualState(tuple(pi), blossoms))
+                forged = replace(comp, lifted_duals=DualState.from_fractions(tuple(pi), blossoms))
                 aux, m = forged.aux_instance, forged.extended_matching
                 loads = [edge_load(forged.lifted_duals, e.u, e.v) for e in aux.edges]
                 expected = [("edge-load", (e.u, e.v), load, e.weight)

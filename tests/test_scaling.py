@@ -21,7 +21,7 @@ from matchcert.engine import (EngineState, InfeasibleUpdateError,
 from matchcert.graph import Instance
 from matchcert.oracle import min_weight_by_cardinality
 
-from util import reference_run_dict
+from util import assert_round_trip, reference_run_dict
 
 SEED = 20261018
 COUNT = 120
@@ -63,6 +63,17 @@ def test_snapshot_json_matches_reference_builder():
         run = corpus_run(i, inst)
         assert (jsonio.dumps(jsonio.run_result_to_dict(run))
                 == json.dumps(reference_run_dict(run), indent=2) + "\n")
+
+
+def test_runs_round_trip_through_json():
+    """Two in three runs take the 1/5 script, which grows the engine's
+    scale mid-run; their snapshots still read back equal."""
+    rescaled = 0
+    for i, inst in corpus():
+        run = corpus_run(i, inst)
+        assert_round_trip(inst, run)
+        rescaled += any(s.dual_state.scale % 5 == 0 for s in run.snapshots)
+    assert rescaled > 0
 
 
 def test_uniform_runs_verify_and_match_oracle():

@@ -5,16 +5,20 @@ the two check each other."""
 
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 from itertools import combinations
 
-from matchcert.engine import (DualState, EngineState, RunResult,
-                              ScriptedPolicy, ShrunkenView, apply_dual_update,
-                              compute_alpha, lift_matching, shrink_blossom,
-                              solve)
+from matchcert.certificates import verify_run
+from matchcert.engine import (BlossomDual, CardinalityCertificate, DualState,
+                              EngineState,
+                              RunResult, ScriptedPolicy, ShrunkenView,
+                              apply_dual_update, compute_alpha, lift_matching,
+                              shrink_blossom, solve)
 from matchcert.graph import Instance, normalize_weights
-from matchcert.jsonio import rational_to_str
+from matchcert.jsonio import (dumps, rational_to_str, run_result_from_dict,
+                              run_result_to_dict)
 
 
 def naive_min_by_cardinality(inst: Instance) -> dict[int, tuple[Fraction, tuple]]:
@@ -91,6 +95,34 @@ def edge_load(dual: DualState, u: int, v: int) -> Fraction:
         if (u in b.nodes) != (v in b.nodes):
             total += b.pi
     return total
+
+
+def replaced(cert: CardinalityCertificate, **values) -> CardinalityCertificate:
+    """cert with some of gamma, y, z and k replaced, the Fraction values
+    given as Fractions."""
+    fields = {"gamma": cert.gamma, "y": cert.y, "z": cert.z, "k": cert.k, **values}
+    return CardinalityCertificate.from_fractions(**fields)
+
+
+def assert_round_trip(inst: Instance, run: RunResult) -> None:
+    """The run read back from its JSON text equals it, with the same
+    certificates; on both copies every Fraction view equals its ints over
+    their scale; and `verify_run` gives both the same verdict."""
+    copy = run_result_from_dict(json.loads(dumps(run_result_to_dict(run))))
+    assert copy == run
+    for snaps in (run.snapshots, copy.snapshots):
+        for snap in snaps:
+            dual, cert = snap.dual_state, snap.certificate
+            assert dual.singleton_pi == tuple(Fraction(p, dual.scale)
+                                              for p in dual.pi_units)
+            assert dual.blossoms == tuple(BlossomDual(b.nodes, Fraction(b.pi, dual.scale))
+                                          for b in dual.blossom_units)
+            assert cert.gamma == Fraction(cert.gamma_units, cert.scale)
+            assert cert.y == tuple(Fraction(v, cert.scale) for v in cert.y_units)
+            assert cert.z == tuple((nodes, Fraction(zu, cert.scale))
+                                   for nodes, zu in cert.z_units)
+    assert [s.certificate for s in copy.snapshots] == [s.certificate for s in run.snapshots]
+    assert verify_run(inst, copy) == verify_run(inst, run)
 
 
 def reference_view(state: EngineState) -> ShrunkenView:
