@@ -19,13 +19,14 @@ always `str(Fraction(units, scale))`, so it is the same whatever scale
 the value comes in.
 
 The reader fills the same int form: each snapshot's duals at the lcm of
-their denominators, through a memo of each distinct string.
+their denominators, straight from a memo of each distinct string.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
+from math import lcm
 from typing import Any, Callable
 
 from .certificates import Verdict
@@ -78,45 +79,73 @@ def _matching_from_json(pairs: list[Any], n: int) -> Matching:
     return Matching.from_pairs(zip(ends[::2], ends[1::2]))
 
 
-def _rational_reader() -> Callable[[Any], Fraction]:
-    """str_to_rational with a memo keyed by the exact string, living as
-    long as the returned function: one run file repeats few values."""
-    memo: dict[str, Fraction] = {}
+class _RationalReader:
+    """Reads the rationals of one run file, each distinct string parsed
+    once: a file repeats few values.
 
-    def read(text: Any) -> Fraction:
+    Called with a string, it gives the Fraction. `units` gives a list of
+    strings as ints at the lcm of their denominators, the form a
+    `DualState` holds, from memos keyed by string (and by scale), so a
+    snapshot costs a few dict lookups per value.
+    """
+
+    def __init__(self) -> None:
+        self.fractions: dict[str, Fraction] = {}
+        self.denominators: dict[str, int] = {}
+        self.scaled = _Memo(self._scaled_to)  # scale -> (string -> int)
+        self.keys = _Memo(lambda n: [str(v) for v in range(1, n + 1)])  # n -> "1".."n"
+
+    def __call__(self, text: Any) -> Fraction:
         if type(text) is str:
-            value = memo.get(text)
+            value = self.fractions.get(text)
             if value is not None:
                 return value
-        value = memo[text] = str_to_rational(text)
+        value = self.fractions[text] = str_to_rational(text)
+        self.denominators[text] = value.denominator
         return value
 
-    return read
+    def _scaled_to(self, scale: int) -> "_Memo":
+        fractions = self.fractions
+        return _Memo(lambda text: fractions[text].numerator
+                     * (scale // fractions[text].denominator))
+
+    def units(self, texts: list[Any]) -> tuple[int, tuple[int, ...]]:
+        """(scale, ints): each string's value times scale, the lcm of
+        their denominators."""
+        seen = self.denominators
+        try:
+            denominators = set(map(seen.__getitem__, texts))
+        except (KeyError, TypeError):  # a string not read yet, or not a string
+            for text in texts:
+                if type(text) is not str or text not in seen:
+                    self(text)
+            denominators = set(map(seen.__getitem__, texts))
+        scale = lcm(*denominators)
+        return scale, tuple(map(self.scaled[scale].__getitem__, texts))
 
 
-def _duals_from_json(data: Any, rational: Callable[[Any], Fraction]) -> DualState:
+def _duals_from_json(data: Any, read: _RationalReader) -> DualState:
     singles = field(data, "singletons", dict)
     n = len(singles)
     try:
-        pi = tuple(rational(singles[str(v + 1)]) for v in range(n))
+        texts = list(map(singles.__getitem__, read.keys[n]))
     except KeyError as exc:
         raise ValueError(f"snapshots file: no singleton dual for node {exc}")
-    blossoms = tuple(
-        BlossomDual(frozenset(_node_ids(field(item, "nodes", list), n)),
-                    rational(field(item, "pi", str)))
-        for item in field(data, "blossoms", list, []))
-    beta = rational(field(data, "beta", str, "0"))
-    return DualState.from_fractions(pi, blossoms, beta)
+    items = field(data, "blossoms", list, [])
+    nodes = [frozenset(_node_ids(field(item, "nodes", list), n)) for item in items]
+    scale, units = read.units(texts + [field(item, "pi", str) for item in items])
+    beta = read(field(data, "beta", str, "0"))
+    return DualState(scale, units[:n], tuple(map(BlossomDual, nodes, units[n:])), beta)
 
 
-def _snapshot_from_dict(data: Any, rational: Callable[[Any], Fraction]) -> Snapshot:
-    dual_state = _duals_from_json(field(data, "duals", dict), rational)
+def _snapshot_from_dict(data: Any, read: _RationalReader) -> Snapshot:
+    dual_state = _duals_from_json(field(data, "duals", dict), read)
     n = len(dual_state.pi_units)
     return Snapshot(
         cardinality=field(data, "k", int),
         matching=_matching_from_json(field(data, "matching", list), n),
         dual_state=dual_state,
-        weight=rational(field(data, "weight", str)),
+        weight=read(field(data, "weight", str)),
     )
 
 
@@ -143,12 +172,12 @@ def run_result_from_dict(data: Any) -> RunResult:
     mode = field(data, "mode", str, "maximum")
     if mode not in ("perfect", "maximum"):
         raise ValueError(f"snapshots file: unknown mode {mode!r}")
-    rational = _rational_reader()
+    read = _RationalReader()
     return RunResult(
-        snapshots=tuple(_snapshot_from_dict(s, rational) for s in snapshots),
+        snapshots=tuple(_snapshot_from_dict(s, read) for s in snapshots),
         status=status,
         mode=mode,
-        beta=rational(field(data, "beta", str, "0")),
+        beta=read(field(data, "beta", str, "0")),
     )
 
 
@@ -291,7 +320,7 @@ class _Memo(dict):
 
     __slots__ = ("render",)
 
-    def __init__(self, render: Callable[[Any], str]) -> None:
+    def __init__(self, render: Callable[[Any], Any]) -> None:
         super().__init__()
         self.render = render
 
