@@ -18,9 +18,9 @@ from functools import cache
 from typing import Any, Sequence
 
 from . import certificates, jsonio, oracle, reductions
-from .engine import RunResult, ScriptedPolicy, UNIFORM, solve
+from .engine import RunResult, ScriptedPolicy, solve
 from .graph import (Instance, ParseError, format_instance, normalize_weights,
-                    parse_instance, parse_rational)
+                    parse_instance, parse_natural, parse_rational)
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
@@ -74,7 +74,7 @@ def compare_dual_policies(inst: Instance,
     table = oracle.min_weight_by_cardinality(inst)
     minima = tuple(table.min_weight(k) for k in range(table.nu + 1))
 
-    uniform_run = solve(inst, mode="maximum", policy=UNIFORM)
+    uniform_run = solve(inst, mode="maximum", policy=None)
     uniform = tuple((s.cardinality, s.weight) for s in uniform_run.snapshots)
 
     scripted: tuple[tuple[int, Fraction], ...] | None
@@ -161,7 +161,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     normalized, record = normalize_weights(inst)
 
     if args.policy == "uniform":
-        policy = UNIFORM
+        policy = None
     elif args.policy.startswith("scripted="):
         policy = _parse_amounts_file(args.policy[len("scripted="):])
     else:
@@ -280,7 +280,7 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
     path, _, k_text = args.auxiliary.rpartition(":")
     if not path:
         raise ValueError("--auxiliary expects <snapshots.json>:<k>")
-    k = int(k_text)
+    k = parse_natural(k_text)
     run, inst = _load_run(path, inst)
     for snap in run.snapshots:
         if snap.cardinality == k:
@@ -305,11 +305,20 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits with EXIT_INPUT on a malformed command line, which is bad
+    input: argparse's own code, 2, here means a verification failure."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
 @cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process: parsing keeps no
     state in it."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="matchcert",
         description="Weighted matching solver whose every intermediate "
                     "matching carries a checked optimality certificate.")

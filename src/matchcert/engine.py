@@ -16,11 +16,13 @@ too, by `transform_duals` on top of `accumulated_pi`, once per snapshot
 
 Design notes:
 
-  * The stored matching (`crossing`) holds one original edge per matched
-    pair of shrunken-graph nodes. Blossom interiors are never stored;
-    they are recomputed by `lift_matching` from each blossom's remembered
-    odd cycle and its current external attachment point. Shrinking and
-    deshrinking therefore cannot change the deshrunken matching.
+  * The stored matching (`mates`) maps each matched view node to its
+    mate and the original edge between them, like the `mate` array of
+    Galil (1986). The three mutations update it in place; it is never
+    rebuilt. Blossom interiors are never stored; they are recomputed by
+    `lift_matching` from each blossom's remembered odd cycle and the node
+    its map entry covers. Shrinking and deshrinking therefore cannot
+    change the deshrunken matching.
   * The shrunken view is carried across steps and rebuilt over all
     edges only for the first view and after a blossom expands. `augment`
     keeps it (blossoms and pi* do not change); `shrink_blossom` remaps it
@@ -299,12 +301,6 @@ class RunResult:
 
 
 @dataclass(frozen=True)
-class UniformPolicy:
-    """Every tree of the alternating forest moves by the same largest
-    feasible amount in every dual update."""
-
-
-@dataclass(frozen=True)
 class ScriptedPolicy:
     """Explicit per-tree amounts for the first len(phases) dual updates.
 
@@ -319,11 +315,6 @@ class ScriptedPolicy:
     @classmethod
     def single_phase(cls, amounts: Iterable[RationalInput]) -> "ScriptedPolicy":
         return cls((tuple(as_rational(a) for a in amounts),))
-
-
-UNIFORM = UniformPolicy()
-
-DualPolicy = Union[UniformPolicy, ScriptedPolicy]
 
 
 # ---------------------------------------------------------------------------
@@ -462,10 +453,11 @@ def _completion(rec: _Blossom, entry: int | None) -> set[Pair]:
 class EngineState:
     """Mutable solver state: duals, blossoms, and the stored matching.
 
-    The stored matching `crossing` contains original edges, each joining
-    two distinct maximal sets, at most one per set; blossom interiors are
-    derived, never stored. Use `solve` for a full run, or drive the state
-    manually with grow_forest / augment / shrink_blossom / compute_alpha /
+    The stored matching `mates` maps each matched view node to (mate
+    view node, edge index): one original edge per matched pair of maximal
+    sets, entered at both ends. Blossom interiors are derived, never
+    stored. Use `solve` for a full run, or drive the state manually with
+    grow_forest / augment / shrink_blossom / compute_alpha /
     apply_dual_update for stepping and inspection.
     """
 
@@ -491,7 +483,7 @@ class EngineState:
         self._pi = [self._units(beta)] * inst.node_count
         self._pi_star = list(self._pi)
         self.blossoms: list[_Blossom] = []  # maximal nontrivial blossoms
-        self.crossing: set[Pair] = set()
+        self.mates: dict[int, tuple[int, int]] = {}
         self._view: ShrunkenView | None = None
         self._forest: ForestLabels | None = None
         self._walk: AlternatingWalk | None = None
@@ -555,32 +547,22 @@ class EngineState:
         self._view = ShrunkenView(nodes, top, tuple(tight))
         return self._view
 
-    def view_mates(self) -> dict[int, tuple[int, int]]:
-        """View node -> (mate view node, crossing edge index)."""
-        top = self.shrunken_view().top
-        mates: dict[int, tuple[int, int]] = {}
-        for u, v in self.crossing:
-            ku, kv = top[u], top[v]
-            assert ku != kv, "stored matching edge inside one shrunken node"
-            assert ku not in mates and kv not in mates, \
-                "two stored matching edges at one shrunken node"
-            idx = self.inst.edge_index(u, v)
-            mates[ku] = (kv, idx)
-            mates[kv] = (ku, idx)
-        return mates
+    def _pair(self, a: int, b: int, eidx: int) -> None:
+        """Store edge eidx as the matching edge of view nodes a and b."""
+        self.mates[a] = (b, eidx)
+        self.mates[b] = (a, eidx)
 
     def exposed_view_keys(self) -> tuple[int, ...]:
         return self.forest_labels().roots
 
-    def covered_node(self, nodes: frozenset[int]) -> int | None:
-        """The node of `nodes` covered by the stored matching edge that
-        leaves the set, or None when no such edge exists."""
-        found = None
-        for u, v in self.crossing:
-            if (u in nodes) != (v in nodes):
-                assert found is None, "two matching edges leave one blossom"
-                found = u if u in nodes else v
-        return found
+    def covered_node(self, rec: _Blossom) -> int | None:
+        """The node of maximal blossom `rec` covered by its stored matching
+        edge, or None when the blossom is exposed."""
+        entry = self.mates.get(rec.key)
+        if entry is None:
+            return None
+        u, v, _ = self.inst.edges[entry[1]]
+        return u if u in rec.nodes else v
 
     # -- forest growth ------------------------------------------------------
 
@@ -595,7 +577,7 @@ class EngineState:
         if self._forest is not None:
             return self._walk
         view = self.shrunken_view()
-        mates = self.view_mates()
+        mates = self.mates
         incident = view.incident
 
         label: dict[int, str] = {}
@@ -617,7 +599,7 @@ class EngineState:
                 if lw == LABEL_S:
                     continue
                 if lw == LABEL_T:
-                    walk = self._build_walk(u, w, eidx, parent, root)
+                    walk = self._build_walk(u, w, eidx, parent)
                     break
                 # w is free; exposed nodes are roots, so w must be matched.
                 assert w in mates, "free exposed view node found during growth"
@@ -635,12 +617,11 @@ class EngineState:
         return walk
 
     def _build_walk(self, u: int, w: int, closing_edge: int,
-                    parent: dict[int, tuple[int, int]],
-                    root: dict[int, int]) -> AlternatingWalk:
+                    parent: dict[int, tuple[int, int]]) -> AlternatingWalk:
         def chain(key: int) -> tuple[list[int], list[int]]:
             nodes, edges = [key], []
             while key in parent:
-                key, eidx = parent[key][0], parent[key][1]
+                key, eidx = parent[key]
                 nodes.append(key)
                 edges.append(eidx)
             return nodes, edges
@@ -671,18 +652,16 @@ class EngineState:
         """Flip the matching along an augmenting path of the shrunken graph."""
         if not walk.is_path():
             raise ValueError("cannot augment along a walk that is not a path")
-        mates = self.view_mates()
-        if walk.nodes[0] in mates or walk.nodes[-1] in mates:
+        nodes, edges = walk.nodes, walk.edges
+        if nodes[0] in self.mates or nodes[-1] in self.mates:
             raise ValueError("augmenting path must join two exposed nodes")
-        for pos, eidx in enumerate(walk.edges, start=1):
-            e = self.inst.edges[eidx]
-            pair = (e.u, e.v)
-            if pos % 2 == 1:
-                assert pair not in self.crossing, "unmatched walk edge already matched"
-                self.crossing.add(pair)
-            else:
-                assert pair in self.crossing, "matched walk edge missing from matching"
-                self.crossing.remove(pair)
+        for i in range(1, len(edges), 2):
+            assert self.mates.get(nodes[i]) == (nodes[i + 1], edges[i]), \
+                "matched walk edge missing from matching"
+        # Every path node is an end of one unmatched walk edge, so these
+        # writes replace all of the path's old entries.
+        for i in range(0, len(edges), 2):
+            self._pair(nodes[i], nodes[i + 1], edges[i])
         # Blossoms and pi* are unchanged, and with them the view.
         self._invalidate(self._view)
 
@@ -717,9 +696,9 @@ def lift_matching(state: EngineState) -> Matching:
     of its remembered cycle, leaving free exactly the node covered by the
     external matching edge (or the blossom's base node if it is exposed).
     """
-    edges: set[Pair] = set(state.crossing)
+    edges: set[Pair] = {state.inst.edges[i][:2] for _, i in state.mates.values()}
     for rec in state.blossoms:
-        edges |= _completion(rec, state.covered_node(rec.nodes))
+        edges |= _completion(rec, state.covered_node(rec))
     return Matching(frozenset(edges))
 
 
@@ -756,16 +735,19 @@ def shrink_blossom(state: EngineState, walk: AlternatingWalk) -> EngineState:
     cycle_pairs: list[Pair] = [state.inst.edges[i][:2] for i in cycle_eidx]
 
     # The matched cycle edges sit at odd positions; they move from the
-    # stored matching into the derived interior.
-    for i, pair in enumerate(cycle_pairs):
-        if i % 2 == 1:
-            assert pair in state.crossing
-            state.crossing.remove(pair)
-        else:
-            assert pair not in state.crossing
+    # stored matching into the derived interior. The base's entry, the
+    # stem edge or none at a root, moves to the new blossom.
+    mates = state.mates
+    for i in range(1, len(cycle_keys), 2):
+        assert mates.get(cycle_keys[i]) == (cycle_keys[i + 1], cycle_eidx[i])
+    stem = mates.get(cycle_keys[0])
+    for key in cycle_keys:
+        mates.pop(key, None)
 
     rec = _Blossom(frozenset(node_union), cycle, cycle_pairs)
     state.blossoms = [b for b in state.blossoms if b not in cycle] + [rec]
+    if stem is not None:
+        state._pair(rec.key, *stem)
 
     # The new blossom's dual is 0, so pi* and tightness stay as they are:
     # the cycle's view ids merge into rec.key, the smallest of them, and
@@ -907,10 +889,16 @@ def apply_dual_update(state: EngineState,
     expanded = [b for b in state.blossoms
                 if labels.label.get(b.key) == LABEL_S and b.pi == 0]
     for rec in expanded:
-        entry = state.covered_node(rec.nodes)
+        entry = state.covered_node(rec)
         assert entry is not None, "S-labeled blossom must be matched"
-        for i in rec.matched_positions(rec.constituent_index(entry)):
-            state.crossing.add(rec.cycle_edges[i])
+        # The blossom's entry moves to the constituent holding the covered
+        # node, and each matched cycle edge joins the stored matching.
+        keys = [c.key if isinstance(c, _Blossom) else c for c in rec.cycle]
+        j = rec.constituent_index(entry)
+        state._pair(keys[j], *state.mates.pop(rec.key))
+        for i in rec.matched_positions(j):
+            state._pair(keys[i], keys[(i + 1) % len(keys)],
+                        state.inst.edge_index(*rec.cycle_edges[i]))
         state.blossoms.remove(rec)
         state.blossoms.extend(c for c in rec.cycle if isinstance(c, _Blossom))
 
@@ -924,7 +912,7 @@ def apply_dual_update(state: EngineState,
 
 def solve(inst: Instance,
           mode: str = "maximum",
-          policy: DualPolicy | None = None,
+          policy: ScriptedPolicy | None = None,
           beta: RationalInput = 0,
           on_dual_update: Callable[[EngineState], None] | None = None,
           ) -> RunResult:
@@ -941,13 +929,10 @@ def solve(inst: Instance,
     """
     if mode not in ("perfect", "maximum"):
         raise ValueError(f"unknown mode {mode!r}")
-    if policy is None:
-        policy = UNIFORM
 
     state = EngineState(inst, beta)
     snapshots = [state.snapshot()]
-    scripted = list(policy.phases) if isinstance(policy, ScriptedPolicy) else []
-    phase = 0
+    scripted = list(policy.phases) if policy is not None else []
 
     steps = 0
     step_limit = 200 + 50 * (inst.node_count + len(inst.edges))
@@ -969,9 +954,12 @@ def solve(inst: Instance,
                 shrink_blossom(state, walk)
             continue
 
-        if phase < len(scripted):
-            amounts = _bind_amounts(state.forest_labels(), scripted[phase])
-            phase += 1
+        if scripted:
+            phase, roots = scripted.pop(0), state.forest_labels().roots
+            if len(phase) > len(roots):
+                raise ValueError(f"scripted phase lists {len(phase)} amounts but "
+                                 f"the forest has only {len(roots)} trees")
+            amounts = dict(zip(roots, phase))
         else:
             result = compute_alpha(state)
             if result.alpha is None:
@@ -983,13 +971,3 @@ def solve(inst: Instance,
             on_dual_update(state)
 
     return RunResult(tuple(snapshots), status, mode, state.beta)
-
-
-def _bind_amounts(labels: ForestLabels,
-                  amounts: tuple[Fraction, ...]) -> dict[int, Fraction]:
-    roots = labels.roots
-    if len(amounts) > len(roots):
-        raise ValueError(
-            f"scripted phase lists {len(amounts)} amounts but the forest has "
-            f"only {len(roots)} trees")
-    return dict(zip(roots, amounts))

@@ -40,6 +40,14 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"zero denominator in {text!r}")
 
 
+def parse_natural(text: str) -> int:
+    """A count or node id: ASCII digits only ([0-9]+). int() alone would
+    also take signs, underscores and non-ASCII digits such as '\u0661'."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"expected digits 0-9, got {text!r}")
+    return int(text)
+
+
 def as_rational(value: RationalInput) -> Fraction:
     """Convert to an exact Fraction, rejecting floats outright; strings
     follow `parse_rational`'s grammar. A Fraction is returned as is."""
@@ -344,7 +352,8 @@ def parse_instance(source: Union[str, IO[str], Iterable[str]]) -> Instance:
 
     Lines: optional comments ``c ...``; one header ``p edge <n> <m>``;
     then m lines ``e <u> <v> <w>`` with 1-based node ids and ``w`` an
-    integer, exact decimal, or fraction (``3``, ``-2.5``, ``7/2``).
+    integer, exact decimal, or fraction (``3``, ``-2.5``, ``7/2``). Counts
+    and node ids are written in ASCII digits only.
     """
     node_count: int | None = None
     expected_edges = 0
@@ -362,11 +371,11 @@ def parse_instance(source: Union[str, IO[str], Iterable[str]]) -> Instance:
             if len(fields) != 4 or fields[1] != "edge":
                 raise ParseError(f"malformed header {line!r}; expected 'p edge <n> <m>'", lineno)
             try:
-                node_count = int(fields[2])
-                expected_edges = int(fields[3])
+                node_count = parse_natural(fields[2])
+                expected_edges = parse_natural(fields[3])
             except ValueError:
                 raise ParseError(f"malformed header counts in {line!r}", lineno)
-            if node_count < 1 or expected_edges < 0:
+            if node_count < 1:
                 raise ParseError(f"invalid header counts in {line!r}", lineno)
         elif fields[0] == "e":
             if node_count is None:
@@ -374,9 +383,9 @@ def parse_instance(source: Union[str, IO[str], Iterable[str]]) -> Instance:
             if len(fields) != 4:
                 raise ParseError(f"malformed edge line {line!r}; expected 'e <u> <v> <w>'", lineno)
             try:
-                u, v = int(fields[1]), int(fields[2])
+                u, v = parse_natural(fields[1]), parse_natural(fields[2])
             except ValueError:
-                raise ParseError(f"non-integer node id in {line!r}", lineno)
+                raise ParseError(f"malformed node id in {line!r}", lineno)
             try:
                 w = parse_rational(fields[3])
             except ValueError:

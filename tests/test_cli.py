@@ -176,6 +176,26 @@ class TestParser:
         assert [run_cli(capsys, *argv)[:2] for argv in calls] == first
         assert cli.build_parser() is parser
 
+    @pytest.mark.parametrize("argv", [
+        ("solve",),
+        ("oracle", "g.dimacs", "--limit", "abc"),
+        ("reduce", "g.dimacs"),
+    ])
+    def test_malformed_command_line_is_input_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error:" in captured.err
+
+    @pytest.mark.parametrize("argv", [("--help",), ("solve", "--help")])
+    def test_help_exits_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 0
+        assert "usage: matchcert" in capsys.readouterr().out
+
 
 def verify_tampered(capsys, tmp_path, instance_file, tamper):
     """Solve P4, edit the snapshots file with `tamper`, then verify it
@@ -421,6 +441,16 @@ class TestReduceCommand:
                                "--auxiliary", f"{run_path}:9")
         assert code == 3
         assert "no snapshot" in err
+
+    @pytest.mark.parametrize("k", ["+1", "1_0", "\u0661", "-1", ""])
+    def test_auxiliary_k_takes_ascii_digits_only(self, capsys, tmp_path, p4_file, k):
+        run_path = tmp_path / "run.json"
+        run_cli(capsys, "solve", p4_file, "--snapshots", str(run_path))
+        code, out, err = run_cli(capsys, "reduce", p4_file,
+                                 "--auxiliary", f"{run_path}:{k}")
+        assert code == 3
+        assert out == ""
+        assert "digits 0-9" in err
 
 
 class TestScenarioReport:

@@ -57,6 +57,21 @@ class TestParseInstance:
         with pytest.raises(ParseError):
             parse_instance("e 1 2 1\np edge 2 1")
 
+    @pytest.mark.parametrize("text, line", [
+        ("p edge 1_0 1\ne 1 2 5", 1),
+        ("p edge 2 0_1\ne 1 2 5", 1),
+        ("p edge +3 1\ne 1 2 5", 1),
+        ("p edge \u0663 1\ne 1 2 5", 1),
+        ("p edge 10 1\ne 1_0 1 5", 2),
+        ("p edge 10 1\ne \u0661 10 5", 2),
+        ("p edge 10 1\ne +3 1 5", 2),
+        ("p edge 10 1\ne 1 +3 5", 2),
+    ])
+    def test_counts_and_node_ids_take_ascii_digits_only(self, text, line):
+        with pytest.raises(ParseError) as err:
+            parse_instance(text)
+        assert err.value.line == line
+
     def test_bad_weight(self):
         with pytest.raises(ParseError):
             parse_instance("p edge 2 1\ne 1 2 fast")

@@ -140,14 +140,30 @@ def reference_view(state: EngineState) -> ShrunkenView:
     return ShrunkenView(tuple(sorted(set(top))), top, tight)
 
 
+def reference_mates(state: EngineState) -> dict[int, tuple[int, int]]:
+    """The stored matching from its definition: every edge of the lifted
+    matching whose ends lie in distinct maximal sets pairs the two view
+    nodes, keyed both ways, with the edge's index."""
+    top = reference_view(state).top
+    mates: dict[int, tuple[int, int]] = {}
+    for u, v in lift_matching(state).edges:
+        if top[u] != top[v]:
+            i = state.inst.edge_index(u, v)
+            mates[top[u]] = (top[v], i)
+            mates[top[v]] = (top[u], i)
+    return mates
+
+
 def checked_steps(inst: Instance, phases=(), beta=0) -> dict[str, int]:
     """Replay `solve(inst, beta=beta)` step by step, the first dual updates
     by the per-tree amounts of `phases`, and check after every augment,
     shrink and dual update that the engine's view equals
-    `reference_view`; after an augment it must be the very same object.
-    Returns the step counts; the final matching must equal solve's."""
+    `reference_view`, and its mate map `reference_mates`; after an
+    augment the view must be the very same object. Returns the step
+    counts; the final matching must equal solve's."""
     state = EngineState(inst, beta)
     assert state.shrunken_view() == reference_view(state)
+    assert state.mates == reference_mates(state)
     script = tuple(tuple(Fraction(a) for a in phase) for phase in phases)
     phases = list(script)
     counts = dict.fromkeys(("augment", "shrink", "dual_update", "expansion",
@@ -175,6 +191,7 @@ def checked_steps(inst: Instance, phases=(), beta=0) -> dict[str, int]:
             counts["expansion"] += len(blossoms - set(state.blossoms))
             counts["rescale"] += state._scale != scale
         assert state.shrunken_view() == reference_view(state)
+        assert state.mates == reference_mates(state)
     policy = ScriptedPolicy(tuple(script)) if script else None
     assert lift_matching(state) == solve(inst, policy=policy, beta=beta).final.matching
     return counts
