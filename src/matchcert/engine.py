@@ -16,20 +16,20 @@ too, by `transform_duals` on top of `accumulated_pi`, once per snapshot
 
 Design notes:
 
-  * The stored matching (`mates`) maps each matched view node to its
-    mate and the original edge between them, like the `mate` array of
-    Galil (1986). The three mutations update it in place; it is never
-    rebuilt. Blossom interiors are never stored; they are recomputed by
-    `lift_matching` from each blossom's remembered odd cycle and the node
-    its map entry covers. Shrinking and deshrinking therefore cannot
-    change the deshrunken matching.
-  * The shrunken view is carried across steps and rebuilt over all
-    edges only for the first view and after a blossom expands. `augment`
-    keeps it (blossoms and pi* do not change); `shrink_blossom` remaps it
-    (the cycle's view ids merge into the new blossom's, whose dual is 0,
-    and tight edges now inside it drop out); `apply_dual_update` installs
-    the next one from the edge scan that validates the update. The forest
-    and the walk are dropped after every mutation and regrown on demand.
+  * Edges are named by index; `_pairs[i]` holds the ends of edge i. The
+    stored matching (`mates`, see `EngineState`) is like the `mate` array
+    of Galil (1986): the three mutations update it in place, and it is
+    never rebuilt. `_lifted` recomputes blossom interiors from each
+    blossom's remembered odd cycle and the node its map entry covers, so
+    shrinking and deshrinking cannot change the deshrunken matching.
+  * The shrunken view is carried across steps and never rebuilt.
+    `__init__` builds the first; `augment` keeps it (blossoms and pi* do
+    not change); `shrink_blossom` remaps it (the cycle's view ids merge
+    into the new blossom's, whose dual is 0, and tight edges now inside
+    it drop out); `apply_dual_update` installs the next one from the edge
+    scan that validates the update, run on the view ids left after the
+    blossoms it expands. The forest and the walk are dropped after every
+    mutation and regrown on demand.
   * A view node's id is the smallest original node it contains. Each
     blossom record computes this id once, as its `key`; the view's `top`
     maps every original node to the id of its maximal set, and every
@@ -50,8 +50,8 @@ Design notes:
   * Each node's accumulated dual pi*(v) (its own dual plus the duals of
     all blossoms containing it) is kept current: a dual update moves it
     by the step of the node's maximal set, and shrinking or expanding a
-    blossom, whose dual is then 0, leaves it unchanged. View rebuilds,
-    `compute_alpha` and `apply_dual_update` read it directly.
+    blossom, whose dual is then 0, leaves it unchanged. `compute_alpha`
+    and `apply_dual_update` read it directly.
   * Determinism: forest growth scans shrunken-graph nodes in ascending id
     (a node's id is the smallest original node it contains) and each
     node's incident edges in instance input order. The first event found
@@ -89,11 +89,13 @@ class InfeasibleUpdateError(ValueError):
 
     Attributes mirror certificate violations: constraint id, witness
     (edge index or node set), exact lhs and rhs, in original units. The
-    duals keep their values when this is raised.
+    message names the witness by its nodes (the edge's ends or the set),
+    as sorted 1-based ids. The duals keep their values when this is raised.
     """
 
-    def __init__(self, constraint: str, witness, lhs, rhs):
-        super().__init__(f"{constraint}: witness={witness} lhs={lhs} rhs={rhs}")
+    def __init__(self, constraint: str, witness, lhs, rhs, nodes: Iterable[int]):
+        ids = [v + 1 for v in sorted(nodes)]
+        super().__init__(f"{constraint}: witness={ids} lhs={lhs} rhs={rhs}")
         self.constraint = constraint
         self.witness = witness
         self.lhs = lhs
@@ -390,13 +392,12 @@ class AlphaResult:
 
 class _Blossom:
     """A shrunken odd cycle. cycle[0] is the base constituent; cycle_edges[i]
-    is the original edge joining cycle[i] and cycle[(i+1) % len]. key is
-    the blossom's view id, its smallest node; pi is its dual in the
-    engine's integer units."""
+    indexes the edge joining cycle[i] and cycle[(i+1) % len]. key is the
+    blossom's view id, its smallest node; pi is its dual in engine units."""
 
     __slots__ = ("nodes", "key", "pi", "cycle", "cycle_edges")
 
-    def __init__(self, nodes: frozenset[int], cycle: list, cycle_edges: list[Pair]):
+    def __init__(self, nodes: frozenset[int], cycle: list, cycle_edges: list[int]):
         self.nodes = nodes
         self.key = min(nodes)
         self.pi = 0
@@ -425,22 +426,24 @@ class _Blossom:
             stack.extend(c for c in reversed(rec.cycle) if isinstance(c, _Blossom))
 
 
-def _completion(rec: _Blossom, entry: int | None) -> set[Pair]:
-    """Interior near-perfect matching of a blossom, leaving only the
-    constituent holding `entry` (the base when entry is None) uncovered
-    at the top level, and likewise inside every nested blossom."""
-    out: set[Pair] = set()
+def _completion(rec: _Blossom, entry: int | None, pairs: list[Pair]) -> set[int]:
+    """Edge indices of a blossom's interior near-perfect matching, leaving
+    only the constituent holding `entry` (the base when entry is None)
+    uncovered at the top level, and likewise inside every nested blossom.
+    pairs[i] holds the ends of edge i."""
+    out: set[int] = set()
     pending = [(rec, entry)]
     while pending:
         rec, entry = pending.pop()
         size = len(rec.cycle)
         j = 0 if entry is None else rec.constituent_index(entry)
         for i in rec.matched_positions(j):
-            pair = rec.cycle_edges[i]
-            out.add(pair)
+            eidx = rec.cycle_edges[i]
+            out.add(eidx)
             for c in (rec.cycle[i], rec.cycle[(i + 1) % size]):
                 if isinstance(c, _Blossom):
-                    pending.append((c, pair[0] if pair[0] in c.nodes else pair[1]))
+                    u, v = pairs[eidx]
+                    pending.append((c, u if u in c.nodes else v))
         if isinstance(rec.cycle[j], _Blossom):
             pending.append((rec.cycle[j], entry))
     return out
@@ -480,19 +483,23 @@ class EngineState:
         self._scale = 2 * lcm(beta.denominator,
                               *(e.weight.denominator for e in inst.edges))
         self._weights = [self._units(e.weight) for e in inst.edges]
+        self._pairs: list[Pair] = [(u, v) for u, v, _ in inst.edges]
         self._pi = [self._units(beta)] * inst.node_count
         self._pi_star = list(self._pi)
         self.blossoms: list[_Blossom] = []  # maximal nontrivial blossoms
         self.mates: dict[int, tuple[int, int]] = {}
-        self._view: ShrunkenView | None = None
         self._forest: ForestLabels | None = None
         self._walk: AlternatingWalk | None = None
+        # The first view: every node alone, tight edges of weight 2 beta.
+        nodes, load = tuple(range(inst.node_count)), 2 * self._units(beta)
+        self._view = ShrunkenView(nodes, list(nodes), tuple(
+            (i, u, v) for i, ((u, v), w) in enumerate(zip(self._pairs, self._weights))
+            if w == load))
 
     # -- caching ------------------------------------------------------------
 
-    def _invalidate(self, view: ShrunkenView | None = None) -> None:
-        """Drop the forest and the walk; `view` replaces the shrunken view
-        (None: rebuild it on next use)."""
+    def _invalidate(self, view: ShrunkenView) -> None:
+        """Drop the forest and the walk; `view` replaces the shrunken view."""
         self._view = view
         self._forest = None
         self._walk = None
@@ -530,21 +537,6 @@ class EngineState:
     # -- structure ----------------------------------------------------------
 
     def shrunken_view(self) -> ShrunkenView:
-        if self._view is not None:
-            return self._view
-        top = list(range(self.inst.node_count))
-        for rec in self.blossoms:
-            key = rec.key
-            for v in rec.nodes:
-                top[v] = key
-        pi_star = self._pi_star
-        tight = []
-        for i, ((u, v, _), w) in enumerate(zip(self.inst.edges, self._weights)):
-            ku, kv = top[u], top[v]
-            if ku != kv and pi_star[u] + pi_star[v] == w:
-                tight.append((i, ku, kv))
-        nodes = tuple(v for v, key in enumerate(top) if v == key)
-        self._view = ShrunkenView(nodes, top, tuple(tight))
         return self._view
 
     def _pair(self, a: int, b: int, eidx: int) -> None:
@@ -561,7 +553,7 @@ class EngineState:
         entry = self.mates.get(rec.key)
         if entry is None:
             return None
-        u, v, _ = self.inst.edges[entry[1]]
+        u, v = self._pairs[entry[1]]
         return u if u in rec.nodes else v
 
     # -- forest growth ------------------------------------------------------
@@ -679,9 +671,9 @@ class EngineState:
             self.beta)
 
     def snapshot(self) -> Snapshot:
-        m = lift_matching(self)
-        weights, edge_index = self._weights, self.inst.edge_index
-        total = sum(weights[edge_index(u, v)] for u, v in m.edges)
+        lifted, pairs, weights = _lifted(self), self._pairs, self._weights
+        m = Matching(frozenset(pairs[i] for i in lifted))
+        total = sum(weights[i] for i in lifted)
         return Snapshot(len(m), m, self.frozen_duals(), Fraction(total, self._scale))
 
 
@@ -689,17 +681,19 @@ class EngineState:
 # Operations on the engine state
 
 
-def lift_matching(state: EngineState) -> Matching:
-    """The current matching on the original graph, all blossoms expanded.
-
-    Each maximal blossom contributes the interior near-perfect matching
-    of its remembered cycle, leaving free exactly the node covered by the
-    external matching edge (or the blossom's base node if it is exposed).
-    """
-    edges: set[Pair] = {state.inst.edges[i][:2] for _, i in state.mates.values()}
+def _lifted(state: EngineState) -> set[int]:
+    """Edge indices of the current matching, all blossoms expanded: the
+    stored edges, and each maximal blossom's `_completion` at the node its
+    stored edge covers (at its base when it is exposed)."""
+    edges = {i for _, i in state.mates.values()}
     for rec in state.blossoms:
-        edges |= _completion(rec, state.covered_node(rec))
-    return Matching(frozenset(edges))
+        edges |= _completion(rec, state.covered_node(rec), state._pairs)
+    return edges
+
+
+def lift_matching(state: EngineState) -> Matching:
+    """The current matching on the original graph, all blossoms expanded."""
+    return Matching(frozenset(state._pairs[i] for i in _lifted(state)))
 
 
 def shrink_blossom(state: EngineState, walk: AlternatingWalk) -> EngineState:
@@ -732,7 +726,6 @@ def shrink_blossom(state: EngineState, walk: AlternatingWalk) -> EngineState:
         item = records.get(key, key)
         cycle.append(item)
         node_union |= item.nodes if isinstance(item, _Blossom) else {key}
-    cycle_pairs: list[Pair] = [state.inst.edges[i][:2] for i in cycle_eidx]
 
     # The matched cycle edges sit at odd positions; they move from the
     # stored matching into the derived interior. The base's entry, the
@@ -744,7 +737,7 @@ def shrink_blossom(state: EngineState, walk: AlternatingWalk) -> EngineState:
     for key in cycle_keys:
         mates.pop(key, None)
 
-    rec = _Blossom(frozenset(node_union), cycle, cycle_pairs)
+    rec = _Blossom(frozenset(node_union), cycle, cycle_eidx)
     state.blossoms = [b for b in state.blossoms if b not in cycle] + [rec]
     if stem is not None:
         state._pair(rec.key, *stem)
@@ -793,7 +786,7 @@ def compute_alpha(state: EngineState) -> AlphaResult:
             if best is None or bound < best:
                 best, binding = bound, ("blossom-nonneg", rec.nodes)
 
-    for i, ((u, v, _), w) in enumerate(zip(state.inst.edges, state._weights)):
+    for i, ((u, v), w) in enumerate(zip(state._pairs, state._weights)):
         lu, lv = node_label[u], node_label[v]
         if lu == LABEL_T and lv == LABEL_T:
             if top[u] == top[v]:
@@ -823,8 +816,8 @@ def apply_dual_update(state: EngineState,
     anything is written; an infeasible request raises InfeasibleUpdateError
     and leaves the duals untouched. Afterwards every maximal S-labeled
     blossom whose dual reached 0 is deshrunken and removed. The scan that
-    validates the edges also collects the next view's tight edges, so the
-    view is rebuilt from scratch only when a blossom was deshrunken.
+    validates the edges runs on the view ids left after those expansions,
+    so it also collects the next view's tight edges.
     """
     labels = state._require_clean_forest()
 
@@ -845,24 +838,38 @@ def apply_dual_update(state: EngineState,
         amount = units.get(labels.root[key], 0)
         delta[key] = amount if lbl == LABEL_T else -amount
 
-    # Validate nonnegativity of blossom duals.
+    # Validate nonnegativity of blossom duals. The S-labeled ones that
+    # the update takes to 0 expand: their nodes get the view ids of their
+    # constituents.
     tops = {rec.key: rec for rec in state.blossoms}
+    expanded = []
     for key, rec in tops.items():
         if key in delta:
             new_pi = rec.pi + delta[key]
             if new_pi < 0:
                 raise InfeasibleUpdateError("blossom-nonneg", rec.nodes,
-                                            Fraction(new_pi, state._scale), ZERO)
+                                            Fraction(new_pi, state._scale), ZERO, rec.nodes)
+            if new_pi == 0 and labels.label[key] == LABEL_S:
+                expanded.append(rec)
+    view = state.shrunken_view()
+    top, nodes = view.top, view.nodes
+    if expanded:
+        top = list(top)
+        for c in (part for rec in expanded for part in rec.cycle):
+            key, inner = (c.key, c.nodes) if isinstance(c, _Blossom) else (c, (c,))
+            for v in inner:
+                top[v] = key
+        nodes = tuple(v for v, key in enumerate(top) if v == key)
 
     # Validate the edge constraints on the new pi*, where a maximal set's
     # step moves every node inside it, and collect the edges left tight.
     # The duals are feasible before the update, so the first edge found
-    # overloaded is the first whose load grows past its weight.
-    view = state.shrunken_view()
-    top = view.top
-    pi_star = [p + delta.get(k, 0) for p, k in zip(state._pi_star, top)]
+    # overloaded is the first whose load grows past its weight. An edge
+    # inside an expanded blossom is never rejected here: no set that
+    # separates its ends moves, so its cut load is unchanged.
+    pi_star = [p + delta.get(k, 0) for p, k in zip(state._pi_star, view.top)]
     tight = []
-    for i, ((u, v, _), w) in enumerate(zip(state.inst.edges, state._weights)):
+    for i, ((u, v), w) in enumerate(zip(state._pairs, state._weights)):
         load = pi_star[u] + pi_star[v]
         if load < w:
             continue
@@ -871,38 +878,31 @@ def apply_dual_update(state: EngineState,
             continue
         if load > w:
             raise InfeasibleUpdateError("edge-slack", i, Fraction(load, state._scale),
-                                        state.inst.edges[i].weight)
+                                        Fraction(w, state._scale), (u, v))
         tight.append((i, ku, kv))
 
     # Commit.
     state._pi_star = pi_star
     for key, d in delta.items():
-        if d == 0:
-            continue
-        rec = tops.get(key)
-        if rec is None:
-            state._pi[key] += d
+        if key in tops:
+            tops[key].pi += d
         else:
-            rec.pi += d
+            state._pi[key] += d
 
-    # Deshrink maximal S-labeled blossoms whose dual is now 0.
-    expanded = [b for b in state.blossoms
-                if labels.label.get(b.key) == LABEL_S and b.pi == 0]
     for rec in expanded:
         entry = state.covered_node(rec)
         assert entry is not None, "S-labeled blossom must be matched"
-        # The blossom's entry moves to the constituent holding the covered
-        # node, and each matched cycle edge joins the stored matching.
-        keys = [c.key if isinstance(c, _Blossom) else c for c in rec.cycle]
-        j = rec.constituent_index(entry)
-        state._pair(keys[j], *state.mates.pop(rec.key))
-        for i in rec.matched_positions(j):
-            state._pair(keys[i], keys[(i + 1) % len(keys)],
-                        state.inst.edge_index(*rec.cycle_edges[i]))
+        # In the stored matching, the blossom's entry moves to the
+        # constituent holding the covered node, and each matched cycle
+        # edge joins it, between view ids of the new `top`.
+        state._pair(top[entry], *state.mates.pop(rec.key))
+        for i in rec.matched_positions(rec.constituent_index(entry)):
+            u, v = state._pairs[rec.cycle_edges[i]]
+            state._pair(top[u], top[v], rec.cycle_edges[i])
         state.blossoms.remove(rec)
         state.blossoms.extend(c for c in rec.cycle if isinstance(c, _Blossom))
 
-    state._invalidate(None if expanded else ShrunkenView(view.nodes, top, tuple(tight)))
+    state._invalidate(ShrunkenView(nodes, top, tuple(tight)))
     return state
 
 

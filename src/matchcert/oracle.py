@@ -61,31 +61,48 @@ def min_weight_by_cardinality(inst: Instance,
         raise ValueError(f"instance has {n} nodes, exceeding the oracle budget of {limit}")
 
     scale = math.lcm(*(e.weight.denominator for e in inst.edges)) if inst.edges else 1
-    neighbors: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    # neighbors[v]: (u, scaled weight, 1 << u) for each edge {v, u}.
+    neighbors: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
     for e in inst.edges:
         w = int(e.weight * scale)
-        neighbors[e.u].append((e.v, w))
-        neighbors[e.v].append((e.u, w))
+        neighbors[e.u].append((e.v, w, 1 << e.v))
+        neighbors[e.v].append((e.u, w, 1 << e.u))
     for lst in neighbors:
         lst.sort()
 
+    # A branch decides one or two more nodes, so the masks the search
+    # reaches are collected by how many nodes they decide, and the memo is
+    # filled from the most decided level down: every branch is filled
+    # before the masks that read it, and no input size meets the
+    # recursion limit.
     full = (1 << n) - 1
-    memo: dict[int, list[_Entry | None]] = {}
+    levels: list[list[int]] = [[0]] + [[] for _ in range(n)]
+    reached = {0}
+    for decided in range(n):
+        for mask in levels[decided]:
+            v = ((mask + 1) & ~mask).bit_length() - 1  # lowest undecided node
+            skip = mask | (1 << v)
+            if skip not in reached:
+                reached.add(skip)
+                levels[decided + 1].append(skip)
+            for _, _, bit in neighbors[v]:
+                if not mask & bit:
+                    sub = skip | bit
+                    if sub not in reached:
+                        reached.add(sub)
+                        levels[decided + 2].append(sub)
 
-    def best(mask: int) -> list[_Entry | None]:
-        # Entries indexed by cardinality, over the nodes not yet decided.
-        if mask == full:
-            return [(0, ())]
-        cached = memo.get(mask)
-        if cached is not None:
-            return cached
-        v = ((mask + 1) & ~mask).bit_length() - 1  # lowest undecided node
-        entries: list[_Entry | None] = list(best(mask | (1 << v)))
-        for u, w in neighbors[v]:
-            if mask & (1 << u):
+    # memo[mask]: entries indexed by cardinality, over the nodes not yet
+    # decided.
+    memo: dict[int, list[_Entry | None]] = {full: [(0, ())]}
+    for mask in (mask for level in reversed(levels[:n]) for mask in level):
+        v = ((mask + 1) & ~mask).bit_length() - 1
+        skip = mask | (1 << v)
+        entries: list[_Entry | None] = list(memo[skip])
+        for u, w, bit in neighbors[v]:
+            if mask & bit:
                 continue
-            sub = best(mask | (1 << v) | (1 << u))
-            for k, entry in enumerate(sub):
+            for k, entry in enumerate(memo[skip | bit]):
                 if entry is None:
                     continue
                 cand: _Entry = (entry[0] + w, ((v, u),) + entry[1])
@@ -96,10 +113,9 @@ def min_weight_by_cardinality(inst: Instance,
                 if cur is None or cand < cur:
                     entries[kk] = cand
         memo[mask] = entries
-        return entries
 
     records: list[CardinalityRecord] = []
-    for k, entry in enumerate(best(0)):
+    for k, entry in enumerate(memo[0]):
         if entry is None:
             continue
         scaled, pairs = entry

@@ -225,6 +225,20 @@ class TestCardinalityCertificate:
         verdict = check_cardinality_certificate(p4, m, mutated)
         assert "cs-exposed-zero-y" in [v.constraint for v in verdict.violations]
 
+    @pytest.mark.parametrize("pairs, values, expected", [
+        # The matched edge {1, 2} carries load 1 against weight 5.
+        ([(0, 1)], {}, ("cs-matched-edge-tight", (0, 1), 1, 5)),
+        ([(1, 2)], {"y": (Fraction(1), ZERO, ZERO, ZERO)}, ("y-nonpositive", 0, 1, 0)),
+        ([(1, 2)], {"z": ((frozenset({0, 1, 3}), Fraction(1)),)},
+         ("z-nonpositive", frozenset({0, 1, 3}), 1, 0)),
+    ])
+    def test_single_fault_named(self, p4, pairs, values, expected):
+        # p4's k=1 certificate, with one fault in the matching or the duals.
+        cert = replaced(transform_duals(duals([HALF] * 4), 1), **values)
+        verdict = check_cardinality_certificate(p4, Matching.from_pairs(pairs), cert)
+        assert [(v.constraint, v.witness, v.lhs, v.rhs)
+                for v in verdict.violations] == [expected]
+
     def test_empty_matching_zero_certificate(self, p4):
         cert = transform_duals(duals([0] * 4), 0)
         assert check_cardinality_certificate(p4, Matching.empty(), cert).passed

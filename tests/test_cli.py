@@ -107,6 +107,14 @@ class TestSolveCommand:
         data = json.loads(out)
         assert data["snapshots"][-1]["weight"] == "4"
 
+    def test_infeasible_scripted_amount_names_edge_ends(self, capsys, tmp_path, p4_file):
+        amounts = tmp_path / "amounts.txt"
+        amounts.write_text("100\n")
+        code, out, err = run_cli(capsys, "solve", p4_file,
+                                 "--policy", f"scripted={amounts}")
+        assert code == 3 and out == ""
+        assert err == "error: edge-slack: witness=[1, 2] lhs=100 rhs=5\n"
+
     def test_beta_option(self, capsys, p4_file):
         code, out, _ = run_cli(capsys, "solve", p4_file, "--beta", "1/2")
         assert code == 0
@@ -394,6 +402,12 @@ class TestCounterexampleCommand:
         assert data["scripted"] is None
         assert data["scripted_error"]
         assert data["uniform"][-1] == {"k": 4, "weight": "3"}
+
+    def test_infeasible_amounts_name_edge_ends(self, capsys):
+        code, out, _ = run_cli(capsys, "counterexample", "--amounts", "100,1,1")
+        assert code == 0
+        assert json.loads(out)["scripted_error"] == \
+            "edge-slack: witness=[1, 2] lhs=101 rhs=3"
 
 
 class TestReduceCommand:

@@ -189,6 +189,30 @@ class TestApplyDualUpdate:
         with pytest.raises(InfeasibleUpdateError):
             apply_dual_update(state, 1)  # alpha is only 1/2
 
+    def test_step_past_a_blossom_dual_rejected(self, c5_two_tails):
+        # The second dual phase has the S-labeled blossom {1..5} at dual 0,
+        # so any positive step would make its dual negative.
+        state = EngineState(c5_two_tails)
+        advance_to_dual_phase(state)
+        apply_dual_update(state, compute_alpha(state).alpha)
+        advance_to_dual_phase(state)
+        before = state.frozen_duals()
+        with pytest.raises(InfeasibleUpdateError) as err:
+            apply_dual_update(state, 1)
+        assert (err.value.constraint, err.value.witness, err.value.lhs, err.value.rhs) \
+            == ("blossom-nonneg", frozenset(range(5)), -1, 0)
+        assert str(err.value) == "blossom-nonneg: witness=[1, 2, 3, 4, 5] lhs=-1 rhs=0"
+        assert state.frozen_duals() == before
+
+    def test_edge_slack_message_names_the_ends(self, p4):
+        state = EngineState(p4)
+        state.grow_forest()
+        with pytest.raises(InfeasibleUpdateError) as err:
+            apply_dual_update(state, 100)
+        # Edge index 0 is {1, 2} in 1-based ids; the attribute stays 0-based.
+        assert err.value.witness == 0
+        assert str(err.value) == "edge-slack: witness=[1, 2] lhs=200 rhs=5"
+
     def test_too_many_scripted_amounts(self, fig2):
         with pytest.raises(ValueError):
             solve(fig2, policy=ScriptedPolicy.single_phase([1, 1, 1, 1]))
@@ -289,33 +313,37 @@ class TestShrinkAndLift:
 
 
 class TestCompletionRule:
+    @staticmethod
+    def lifted(rec, entry, pairs):
+        """The completion's edge indices read back as node pairs."""
+        return {pairs[i] for i in _completion(rec, entry, pairs)}
+
     def test_triangle_interior(self):
-        rec = _Blossom(frozenset({0, 1, 2}), [0, 1, 2],
-                       [(0, 1), (1, 2), (0, 2)])
+        pairs = [(0, 1), (1, 2), (0, 2)]
+        rec = _Blossom(frozenset({0, 1, 2}), [0, 1, 2], [0, 1, 2])
         # External matched edge at node 0: the opposite edge is matched.
-        assert _completion(rec, 0) == {(1, 2)}
-        assert _completion(rec, 1) == {(0, 2)}
-        assert _completion(rec, 2) == {(0, 1)}
+        assert self.lifted(rec, 0, pairs) == {(1, 2)}
+        assert self.lifted(rec, 1, pairs) == {(0, 2)}
+        assert self.lifted(rec, 2, pairs) == {(0, 1)}
         # Exposed blossom: the base (cycle[0]) stays uncovered.
-        assert _completion(rec, None) == {(1, 2)}
+        assert self.lifted(rec, None, pairs) == {(1, 2)}
 
     def test_two_level_interior_counts(self):
-        inner = _Blossom(frozenset({0, 1, 2}), [0, 1, 2],
-                         [(0, 1), (1, 2), (0, 2)])
-        outer = _Blossom(frozenset(range(5)), [inner, 3, 4],
-                         [(2, 3), (3, 4), (0, 4)])
-        interior = _completion(outer, 3)
+        pairs = [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (0, 4)]
+        inner = _Blossom(frozenset({0, 1, 2}), [0, 1, 2], [0, 1, 2])
+        outer = _Blossom(frozenset(range(5)), [inner, 3, 4], [3, 4, 5])
+        interior = self.lifted(outer, 3, pairs)
         assert interior == {(0, 4), (1, 2)}
         inside_inner = {e for e in interior if set(e) <= {0, 1, 2}}
         assert len(inside_inner) == (3 - 1) // 2
         assert len(interior) == (5 - 1) // 2
 
     def test_five_cycle_entry_points(self):
-        rec = _Blossom(frozenset(range(5)), [0, 1, 2, 3, 4],
-                       [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
-        assert _completion(rec, 0) == {(1, 2), (3, 4)}
-        assert _completion(rec, 2) == {(3, 4), (0, 1)}
-        assert _completion(rec, 4) == {(0, 1), (2, 3)}
+        pairs = [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]
+        rec = _Blossom(frozenset(range(5)), [0, 1, 2, 3, 4], [0, 1, 2, 3, 4])
+        assert self.lifted(rec, 0, pairs) == {(1, 2), (3, 4)}
+        assert self.lifted(rec, 2, pairs) == {(3, 4), (0, 1)}
+        assert self.lifted(rec, 4, pairs) == {(0, 1), (2, 3)}
 
 
 class TestEngineInvariantsOnRandomRuns:
@@ -431,6 +459,14 @@ class TestCarriedView:
             (3, 4, 4), (0, 4, Fraction(13, 3)), (1, 3, Fraction(11, 2))])
         counts = checked_steps(inst, phases=[[Fraction(1, 5)]], beta=Fraction(1, 7))
         assert counts["rescale"] == 1
+
+    def test_rescale_after_a_shrink(self, nested_blossom_instance):
+        # The triangle {1, 2, 3} is shrunk before the first dual update, so
+        # the fifths phase rescales a blossom dual of 0 and the sevenths
+        # phase one of 1/5.
+        counts = checked_steps(nested_blossom_instance,
+                               phases=[[Fraction(1, 5)], [Fraction(1, 7)]])
+        assert counts["shrink"] >= 1 and counts["rescale"] == 2
 
     def test_augment_keeps_the_view_object(self, fig2):
         state = EngineState(fig2)

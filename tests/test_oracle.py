@@ -1,4 +1,6 @@
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -43,6 +45,22 @@ def test_budget():
     with pytest.raises(ValueError):
         min_weight_by_cardinality(inst)
     assert min_weight_by_cardinality(inst, limit=17).nu == 1
+
+
+def test_long_path_within_a_low_recursion_limit():
+    # The search decides one node per level; an explicit stack keeps that
+    # depth off the interpreter's, so 300 nodes pass a limit of 200.
+    code = (
+        "import sys\n"
+        "from matchcert.graph import Instance\n"
+        "from matchcert.oracle import min_weight_by_cardinality\n"
+        "sys.setrecursionlimit(200)\n"
+        "inst = Instance.from_edges(300, [(v, v + 1, v % 3) for v in range(299)])\n"
+        "print(min_weight_by_cardinality(inst, limit=300).nu)\n")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "150"
 
 
 def test_fractional_weights():

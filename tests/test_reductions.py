@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from matchcert.engine import DualState, ScriptedPolicy, solve
+from matchcert.engine import BlossomDual, DualState, ScriptedPolicy, solve
 from matchcert.graph import Instance, Matching, matching_weight
 from matchcert.oracle import min_weight_by_cardinality
 from matchcert.reductions import (CompletionRefusedError,
@@ -85,6 +85,18 @@ class TestAuxiliaryCompletion:
             verdict = check_perfect_certificate(forged)
             assert [v.constraint for v in verdict.violations
                     if v.witness == (0, 4)] == [expected]
+
+    def test_positive_blossom_left_thrice_fails(self):
+        # Path 1-...-6 at its perfect snapshot, with a forged blossom
+        # {1, 3, 5} at dual 1/2: each of the three matched edges leaves it.
+        path = Instance.from_edges(6, [(v, v + 1, 2) for v in range(5)])
+        comp = build_auxiliary_completion(path, solve(path).final)
+        odd = frozenset({0, 2, 4})
+        forged = replace(comp, lifted_duals=DualState.from_fractions(
+            comp.lifted_duals.singleton_pi, (BlossomDual(odd, HALF),)))
+        verdict = check_perfect_certificate(forged)
+        assert [(v.constraint, v.witness, v.lhs, v.rhs) for v in verdict.violations
+                if v.constraint == "cs-cut-tight"] == [("cs-cut-tight", odd, 3, 1)]
 
     def test_scripted_snapshot_refused(self, fig2):
         run = solve(fig2, policy=ScriptedPolicy.single_phase([1, 1, 3]))
