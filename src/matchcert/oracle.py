@@ -76,21 +76,15 @@ def min_weight_by_cardinality(inst: Instance,
     # before the masks that read it, and no input size meets the
     # recursion limit.
     full = (1 << n) - 1
-    levels: list[list[int]] = [[0]] + [[] for _ in range(n)]
-    reached = {0}
+    levels: list[dict[int, None]] = [{0: None}] + [{} for _ in range(n)]
     for decided in range(n):
         for mask in levels[decided]:
             v = ((mask + 1) & ~mask).bit_length() - 1  # lowest undecided node
             skip = mask | (1 << v)
-            if skip not in reached:
-                reached.add(skip)
-                levels[decided + 1].append(skip)
+            levels[decided + 1][skip] = None
             for _, _, bit in neighbors[v]:
                 if not mask & bit:
-                    sub = skip | bit
-                    if sub not in reached:
-                        reached.add(sub)
-                        levels[decided + 2].append(sub)
+                    levels[decided + 2][skip | bit] = None
 
     # memo[mask]: entries indexed by cardinality, over the nodes not yet
     # decided.
