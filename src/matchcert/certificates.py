@@ -231,11 +231,14 @@ def verify_run(inst: Instance, run: RunResult) -> Verdict:
     (`Snapshot.certificate`, built once per snapshot) against the
     snapshot's matching; recheck the stored weight (skipped when the
     matching uses a non-edge, which the certificate check reports as
-    `matching-edge`).
+    `matching-edge`); check that its duals carry the run's beta
+    (`beta-mismatch`).
     Across snapshots: cardinalities must be 0, 1, ..., K, and consecutive
-    matchings must differ by a single alternating path. The run's status
-    must agree with its last matching: `perfect-found` exactly when that
-    matching covers all n nodes.
+    matchings must differ by a single alternating path. The first
+    snapshot's duals must be the initial ones: beta on every node and no
+    blossoms (`beta-mismatch`, witness the node or the blossom). The
+    run's status must agree with its last matching: `perfect-found`
+    exactly when that matching covers all n nodes.
     """
     violations: list[Violation] = []
 
@@ -245,6 +248,9 @@ def verify_run(inst: Instance, run: RunResult) -> Verdict:
             violations.append(
                 Violation(f"snapshot-cardinality-sequence:{tag}", i,
                           snap.cardinality, i))
+        if snap.dual_state.beta != run.beta:
+            violations.append(
+                Violation(f"beta-mismatch:{tag}", None, snap.dual_state.beta, run.beta))
         try:
             actual_weight = matching_weight(inst, snap.matching)
         except ValueError:  # a non-edge, reported below as matching-edge
@@ -257,6 +263,15 @@ def verify_run(inst: Instance, run: RunResult) -> Verdict:
             violations.append(
                 Violation(f"{viol.constraint}:{tag}", viol.witness,
                           viol.lhs, viol.rhs))
+
+    first = run.snapshots[0]
+    dual, tag = first.dual_state, f"beta-mismatch:k={first.cardinality}"
+    initial = run.beta * dual.scale
+    for v, p in enumerate(dual.pi_units):
+        if p != initial:
+            violations.append(Violation(tag, v, Fraction(p, dual.scale), run.beta))
+    for b in dual.blossom_units:
+        violations.append(Violation(tag, b.nodes, Fraction(b.pi, dual.scale), "no blossom"))
 
     for prev, nxt in zip(run.snapshots, run.snapshots[1:]):
         diff = alternating_path_difference(prev.matching, nxt.matching)

@@ -22,14 +22,17 @@ Design notes:
     never rebuilt. `_lifted` recomputes blossom interiors from each
     blossom's remembered odd cycle and the node its map entry covers, so
     shrinking and deshrinking cannot change the deshrunken matching.
-  * The shrunken view is carried across steps and never rebuilt.
-    `__init__` builds the first; `augment` keeps it (blossoms and pi* do
-    not change); `shrink_blossom` remaps it (the cycle's view ids merge
-    into the new blossom's, whose dual is 0, and tight edges now inside
-    it drop out); `apply_dual_update` installs the next one from the edge
-    scan that validates the update, run on the view ids left after the
-    blossoms it expands. The forest and the walk are dropped after every
-    mutation and regrown on demand.
+  * The shrunken view is carried across steps and never rebuilt. It is
+    one adjacency map, view id -> tight edges, plus `top`. `__init__`
+    builds the first; `augment` keeps it (blossoms and pi* do not
+    change); `shrink_blossom` merges the cycle's entries into the new
+    blossom's, whose dual is 0, drops tight edges now inside it and
+    rebuilds only the lists of the cycle's neighbours, sharing every
+    other list with the previous view; `apply_dual_update` fills fresh
+    lists in the edge scan that validates the update, run on the view ids
+    left after the blossoms it expands. No view is mutated once built,
+    which is what makes the sharing safe. The forest and the walk are
+    dropped after every mutation and regrown on demand.
   * A view node's id is the smallest original node it contains. Each
     blossom record computes this id once, as its `key`; the view's `top`
     maps every original node to the id of its maximal set, and every
@@ -63,7 +66,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from math import gcd, lcm
 from typing import Callable, Iterable, Iterator, Mapping, Union
 
@@ -106,16 +109,9 @@ class InfeasibleUpdateError(ValueError):
 # Frozen dual state, snapshots, run results
 
 
-@lru_cache(maxsize=1024)
-def _shared(value: Fraction) -> Fraction:
-    """One Fraction object per value among the values viewed lately: a
-    run repeats few values, so the views of its snapshots share them."""
-    return value
-
-
 def _view(units: Iterable[int], scale: int) -> tuple[Fraction, ...]:
-    """units / scale as shared Fractions."""
-    return tuple(_shared(Fraction(p, scale)) for p in units)
+    """units / scale as Fractions."""
+    return tuple(Fraction(p, scale) for p in units)
 
 
 def _units(values: tuple[Fraction, ...], scale: int) -> tuple[int, ...]:
@@ -174,7 +170,7 @@ class DualState:
 
     @cached_property
     def blossoms(self) -> tuple[BlossomDual, ...]:
-        return tuple(BlossomDual(b.nodes, _shared(Fraction(b.pi, self.scale)))
+        return tuple(BlossomDual(b.nodes, Fraction(b.pi, self.scale))
                      for b in self.blossom_units)
 
 
@@ -225,7 +221,7 @@ class CardinalityCertificate:
 
     @cached_property
     def gamma(self) -> Fraction:
-        return _shared(Fraction(self.gamma_units, self.scale))
+        return Fraction(self.gamma_units, self.scale)
 
     @cached_property
     def y(self) -> tuple[Fraction, ...]:
@@ -233,7 +229,7 @@ class CardinalityCertificate:
 
     @cached_property
     def z(self) -> tuple[tuple[frozenset[int], Fraction], ...]:
-        return tuple((nodes, _shared(Fraction(zu, self.scale)))
+        return tuple((nodes, Fraction(zu, self.scale))
                      for nodes, zu in self.z_units)
 
 
@@ -328,23 +324,14 @@ class ShrunkenView:
     """The shrunken graph: one node per maximal set, tight edges only.
 
     Node ids are the smallest original node of each maximal set, and
-    top[v] is the id of the one holding original node v. tight_edges
-    lists (edge_index, view_u, view_v) in input order.
+    top[v] is the id of the one holding original node v. incident maps
+    every view id, in ascending order, to the (edge index, other end)
+    pairs of its tight edges, in input order. A view is never mutated
+    once built, so the next view may share its lists.
     """
 
-    nodes: tuple[int, ...]
     top: list[int]
-    tight_edges: tuple[tuple[int, int, int], ...]
-
-    @cached_property
-    def incident(self) -> dict[int, list[tuple[int, int]]]:
-        """View node -> (edge index, other end) of its tight edges, in
-        input order; built once per view."""
-        incident: dict[int, list[tuple[int, int]]] = {k: [] for k in self.nodes}
-        for i, ku, kv in self.tight_edges:
-            incident[ku].append((i, kv))
-            incident[kv].append((i, ku))
-        return incident
+    incident: dict[int, list[tuple[int, int]]]
 
 
 @dataclass(frozen=True)
@@ -491,10 +478,13 @@ class EngineState:
         self._forest: ForestLabels | None = None
         self._walk: AlternatingWalk | None = None
         # The first view: every node alone, tight edges of weight 2 beta.
-        nodes, load = tuple(range(inst.node_count)), 2 * self._units(beta)
-        self._view = ShrunkenView(nodes, list(nodes), tuple(
-            (i, u, v) for i, ((u, v), w) in enumerate(zip(self._pairs, self._weights))
-            if w == load))
+        n, load = inst.node_count, 2 * self._units(beta)
+        incident: dict[int, list[tuple[int, int]]] = {v: [] for v in range(n)}
+        for i, ((u, v), w) in enumerate(zip(self._pairs, self._weights)):
+            if w == load:
+                incident[u].append((i, v))
+                incident[v].append((i, u))
+        self._view = ShrunkenView(list(range(n)), incident)
 
     # -- caching ------------------------------------------------------------
 
@@ -568,14 +558,13 @@ class EngineState:
         """
         if self._forest is not None:
             return self._walk
-        view = self.shrunken_view()
         mates = self.mates
-        incident = view.incident
+        incident = self.shrunken_view().incident
 
         label: dict[int, str] = {}
         parent: dict[int, tuple[int, int]] = {}
         root: dict[int, int] = {}
-        roots = tuple(k for k in view.nodes if k not in mates)
+        roots = tuple(k for k in incident if k not in mates)
         for k in roots:
             label[k] = LABEL_T
             root[k] = k
@@ -743,18 +732,24 @@ def shrink_blossom(state: EngineState, walk: AlternatingWalk) -> EngineState:
         state._pair(rec.key, *stem)
 
     # The new blossom's dual is 0, so pi* and tightness stay as they are:
-    # the cycle's view ids merge into rec.key, the smallest of them, and
-    # tight edges between two of them drop out.
+    # the cycle's view ids merge into rec.key, the smallest of them, which
+    # keeps its place among the keys. Its list is the cycle's outward
+    # tight edges, in input order; tight edges between two cycle ids drop
+    # out. Only the lists of the cycle's neighbours name a merged id, so
+    # only they are rebuilt; the new view shares every other list.
     key, merged = rec.key, set(cycle_keys)
     top = list(view.top)
     for v in rec.nodes:
         top[v] = key
-    state._invalidate(ShrunkenView(
-        tuple(k for k in view.nodes if k == key or k not in merged),
-        top,
-        tuple((i, key if ku in merged else ku, key if kv in merged else kv)
-              for i, ku, kv in view.tight_edges
-              if ku not in merged or kv not in merged)))
+    incident = dict(view.incident)
+    outward = [entry for k in cycle_keys
+               for entry in (incident[k] if k == key else incident.pop(k))
+               if entry[1] not in merged]
+    outward.sort()
+    incident[key] = outward
+    for w in {w for _, w in outward}:
+        incident[w] = [(i, key if x in merged else x) for i, x in incident[w]]
+    state._invalidate(ShrunkenView(top, incident))
     return state
 
 
@@ -852,23 +847,24 @@ def apply_dual_update(state: EngineState,
             if new_pi == 0 and labels.label[key] == LABEL_S:
                 expanded.append(rec)
     view = state.shrunken_view()
-    top, nodes = view.top, view.nodes
+    top, keys = view.top, view.incident
     if expanded:
         top = list(top)
         for c in (part for rec in expanded for part in rec.cycle):
             key, inner = (c.key, c.nodes) if isinstance(c, _Blossom) else (c, (c,))
             for v in inner:
                 top[v] = key
-        nodes = tuple(v for v, key in enumerate(top) if v == key)
+        keys = [v for v, key in enumerate(top) if v == key]
 
     # Validate the edge constraints on the new pi*, where a maximal set's
-    # step moves every node inside it, and collect the edges left tight.
+    # step moves every node inside it, and collect the edges left tight
+    # into fresh lists.
     # The duals are feasible before the update, so the first edge found
     # overloaded is the first whose load grows past its weight. An edge
     # inside an expanded blossom is never rejected here: no set that
     # separates its ends moves, so its cut load is unchanged.
     pi_star = [p + delta.get(k, 0) for p, k in zip(state._pi_star, view.top)]
-    tight = []
+    incident: dict[int, list[tuple[int, int]]] = {k: [] for k in keys}
     for i, ((u, v), w) in enumerate(zip(state._pairs, state._weights)):
         load = pi_star[u] + pi_star[v]
         if load < w:
@@ -879,7 +875,8 @@ def apply_dual_update(state: EngineState,
         if load > w:
             raise InfeasibleUpdateError("edge-slack", i, Fraction(load, state._scale),
                                         Fraction(w, state._scale), (u, v))
-        tight.append((i, ku, kv))
+        incident[ku].append((i, kv))
+        incident[kv].append((i, ku))
 
     # Commit.
     state._pi_star = pi_star
@@ -902,7 +899,7 @@ def apply_dual_update(state: EngineState,
         state.blossoms.remove(rec)
         state.blossoms.extend(c for c in rec.cycle if isinstance(c, _Blossom))
 
-    state._invalidate(ShrunkenView(nodes, top, tuple(tight)))
+    state._invalidate(ShrunkenView(top, incident))
     return state
 
 

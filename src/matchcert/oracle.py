@@ -11,7 +11,6 @@ the inner loop stays in machine arithmetic; results are exact Fractions.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -60,11 +59,10 @@ def min_weight_by_cardinality(inst: Instance,
     if n > limit:
         raise ValueError(f"instance has {n} nodes, exceeding the oracle budget of {limit}")
 
-    scale = math.lcm(*(e.weight.denominator for e in inst.edges)) if inst.edges else 1
+    scale, weights = inst.scaled_weights
     # neighbors[v]: (u, scaled weight, 1 << u) for each edge {v, u}.
     neighbors: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
-    for e in inst.edges:
-        w = int(e.weight * scale)
+    for e, w in zip(inst.edges, weights):
         neighbors[e.u].append((e.v, w, 1 << e.v))
         neighbors[e.v].append((e.u, w, 1 << e.u))
     for lst in neighbors:

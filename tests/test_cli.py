@@ -364,6 +364,43 @@ class TestVerifyCommand:
         assert json.loads(out)["violations"] == [
             {"constraint": "odd-set:k=1", "witness": [1, 2], "lhs": 2, "rhs": "odd"}]
 
+    def test_forged_beta_fails(self, capsys, tmp_path, p4_file):
+        # The run says beta 7 everywhere, but its k=0 duals are 0.
+        def forge(data):
+            data["beta"] = "7"
+            for snap in data["snapshots"]:
+                snap["duals"]["beta"] = "7"
+        code, out, _ = verify_tampered(capsys, tmp_path, p4_file, forge)
+        assert code == 2
+        assert witnesses(out, "beta-mismatch") == [1, 2, 3, 4]
+        assert {v["constraint"] for v in json.loads(out)["violations"]} == \
+            {"beta-mismatch:k=0"}
+
+    def test_one_snapshot_beta_fails(self, capsys, tmp_path, p4_file):
+        def forge(data):
+            data["snapshots"][1]["duals"]["beta"] = "7"
+        code, out, _ = verify_tampered(capsys, tmp_path, p4_file, forge)
+        assert code == 2
+        assert json.loads(out)["violations"] == [
+            {"constraint": "beta-mismatch:k=1", "witness": None, "lhs": "7", "rhs": "0"}]
+
+    def test_initial_blossom_fails(self, capsys, tmp_path, p4_file):
+        # A zero-dual blossom passes every certificate check; only the
+        # initial duals rule it out.
+        def forge(data):
+            data["snapshots"][0]["duals"]["blossoms"] = [{"nodes": [1, 2, 3], "pi": "0"}]
+        code, out, _ = verify_tampered(capsys, tmp_path, p4_file, forge)
+        assert code == 2
+        assert json.loads(out)["violations"] == [
+            {"constraint": "beta-mismatch:k=0", "witness": [1, 2, 3], "lhs": "0",
+             "rhs": "no blossom"}]
+
+    def test_beta_run_verifies(self, capsys, tmp_path, p4_file):
+        run_path = tmp_path / "run.json"
+        run_cli(capsys, "solve", p4_file, "--beta", "1/2", "--snapshots", str(run_path))
+        code, _, _ = run_cli(capsys, "verify", p4_file, "--run", str(run_path))
+        assert code == 0
+
     def test_non_edge_matching_fails(self, capsys, tmp_path):
         path = tmp_path / "path3.dimacs"
         path.write_text("p edge 3 2\ne 1 2 1\ne 2 3 1\n")
@@ -375,6 +412,73 @@ class TestVerifyCommand:
         code, out, _ = run_cli(capsys, "verify", str(path), "--run", str(run_path))
         assert code == 2
         assert witnesses(out, "matching-edge:k=1") == [[1, 3]]
+
+
+def assert_input_error(result, message):
+    """A command's (code, out, err): exit 3 with `message` on stderr, no
+    output and no traceback."""
+    code, out, err = result
+    assert (code, out) == (3, "")
+    assert message in err and "Traceback" not in err
+
+
+def rename_singleton_4(data):
+    for snap in data["snapshots"]:
+        singles = snap["duals"]["singletons"]
+        singles["5"] = singles.pop("4")
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize("text, message", [
+        ("p edge 2 1\np edge 2 1\ne 1 2 1\n", "line 2: duplicate header"),
+        ("p edge 0 0\n", "line 1: invalid header counts"),
+        ("p edge 2 1\ne 1 2\n", "line 2: malformed edge line"),
+        ("p edge 2 1\nx 1 2 1\n", "line 2: unrecognized line"),
+        ("c no header\n", "missing 'p edge' header"),
+    ])
+    def test_malformed_instance(self, capsys, tmp_path, text, message):
+        path = tmp_path / "bad.dimacs"
+        path.write_text(text)
+        assert_input_error(run_cli(capsys, "solve", str(path)), message)
+
+    def test_snapshots_file_not_an_object(self, capsys, tmp_path, p4_file):
+        run_path = tmp_path / "run.json"
+        run_path.write_text("[]")
+        assert_input_error(run_cli(capsys, "verify", p4_file, "--run", str(run_path)),
+                           "expected an object with key 'snapshots'")
+
+    @pytest.mark.parametrize("tamper, message", [
+        (lambda d: d["snapshots"][1].update(k="1"), "'k' must be of type int"),
+        (lambda d: d["snapshots"][1].update(matching=[[1]]),
+         "every matching edge must be two node ids"),
+        (rename_singleton_4, "no singleton dual for node '4'"),
+    ])
+    def test_malformed_snapshots_file(self, capsys, tmp_path, p4_file, tamper, message):
+        assert_input_error(verify_tampered(capsys, tmp_path, p4_file, tamper), message)
+
+    def test_empty_amounts_file(self, capsys, tmp_path, p4_file):
+        amounts = tmp_path / "amounts.txt"
+        amounts.write_text("c no phases\n\n")
+        assert_input_error(
+            run_cli(capsys, "solve", p4_file, "--policy", f"scripted={amounts}"),
+            "no dual-update phases found")
+
+    def test_unknown_policy(self, capsys, p4_file):
+        assert_input_error(run_cli(capsys, "solve", p4_file, "--policy", "greedy"),
+                           "unknown policy 'greedy'")
+
+    def test_run_with_another_weight_shift(self, capsys, tmp_path):
+        path = tmp_path / "neg.dimacs"
+        path.write_text(NEGATIVE_TEXT)
+        run_path = tmp_path / "run.json"
+        run_cli(capsys, "solve", str(path), "--snapshots", str(run_path))
+        path.write_text(NEGATIVE_TEXT.replace("-5", "-3"))
+        assert_input_error(run_cli(capsys, "verify", str(path), "--run", str(run_path)),
+                           "snapshots were produced with weight shift 5")
+
+    def test_auxiliary_without_k(self, capsys, p4_file):
+        assert_input_error(run_cli(capsys, "reduce", p4_file, "--auxiliary", "run.json"),
+                           "--auxiliary expects <snapshots.json>:<k>")
 
 
 class TestCounterexampleCommand:

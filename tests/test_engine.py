@@ -278,10 +278,10 @@ class TestShrinkAndLift:
         while True:
             walk = state.grow_forest()
             if walk is not None and not walk.is_path():
-                nodes_before = len(state.shrunken_view().nodes)
+                nodes_before = len(state.shrunken_view().incident)
                 cycle_len = len(set(walk.nodes))
                 shrink_blossom(state, walk)
-                assert len(state.shrunken_view().nodes) == nodes_before - cycle_len + 1
+                assert len(state.shrunken_view().incident) == nodes_before - cycle_len + 1
                 break
             if walk is not None:
                 state.augment(walk)

@@ -102,11 +102,18 @@ def test_dumps_deterministic(fig2):
     assert run1 == run2
 
 
-def test_rationals_decoded_once_per_file(fig2):
+def test_rationals_decoded_once_per_file(fig2, monkeypatch):
+    parsed, parse = [], jsonio.str_to_rational
+
+    def counting(text):
+        parsed.append(text)
+        return parse(text)
+
     data = json.loads(jsonio.dumps(jsonio.run_result_to_dict(solve(fig2))))
+    monkeypatch.setattr(jsonio, "str_to_rational", counting)
     run = jsonio.run_result_from_dict(data)
-    values = [p for snap in run.snapshots for p in snap.dual_state.singleton_pi]
-    assert len({id(p) for p in values}) == len(set(values))
+    assert run == solve(fig2)
+    assert len(parsed) == len(set(parsed))
 
 
 @pytest.mark.parametrize("bad", ["1/0", 1, None, ["1"]])

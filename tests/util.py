@@ -5,6 +5,7 @@ the two check each other."""
 
 from __future__ import annotations
 
+import copy
 import json
 import random
 from fractions import Fraction
@@ -127,17 +128,30 @@ def assert_round_trip(inst: Instance, run: RunResult) -> None:
 
 def reference_view(state: EngineState) -> ShrunkenView:
     """The shrunken view from its definition: each node's top is the
-    smallest node of its maximal set, and the tight edges join distinct
-    tops with zero Fraction slack, in input order."""
+    smallest node of its maximal set, and every top lists the tight edges
+    (zero Fraction slack) joining it to another top, in input order, as
+    (edge index, other top)."""
     top = list(range(state.inst.node_count))
     for rec in state.blossoms:
         smallest = min(rec.nodes)
         for v in rec.nodes:
             top[v] = smallest
     dual = state.frozen_duals()
-    tight = tuple((i, top[e.u], top[e.v]) for i, e in enumerate(state.inst.edges)
-                  if top[e.u] != top[e.v] and edge_load(dual, e.u, e.v) == e.weight)
-    return ShrunkenView(tuple(sorted(set(top))), top, tight)
+    incident = {k: [] for k in sorted(set(top))}
+    for i, e in enumerate(state.inst.edges):
+        if top[e.u] != top[e.v] and edge_load(dual, e.u, e.v) == e.weight:
+            incident[top[e.u]].append((i, top[e.v]))
+            incident[top[e.v]].append((i, top[e.u]))
+    return ShrunkenView(top, incident)
+
+
+def assert_view_form(view: ShrunkenView) -> None:
+    """The order `reference_view` cannot check by equality, since dict
+    equality ignores it: the keys ascend, and each list is in edge-index
+    order."""
+    assert list(view.incident) == sorted(view.incident)
+    for entries in view.incident.values():
+        assert [i for i, _ in entries] == sorted(i for i, _ in entries)
 
 
 def reference_mates(state: EngineState) -> dict[int, tuple[int, int]]:
@@ -158,20 +172,25 @@ def checked_steps(inst: Instance, phases=(), beta=0) -> dict[str, int]:
     """Replay `solve(inst, beta=beta)` step by step, the first dual updates
     by the per-tree amounts of `phases`, and check after every augment,
     shrink and dual update that the engine's view equals
-    `reference_view`, and its mate map `reference_mates`; after an
-    augment the view must be the very same object. Returns the step
-    counts; the final matching must equal solve's."""
+    `reference_view` in the order `assert_view_form` checks, that the
+    previous view still equals a deep copy taken before the step (no
+    list it may share with the new one was changed), and that its mate
+    map equals `reference_mates`; after an augment the view must be the
+    very same object. Returns the step counts; the final matching must
+    equal solve's."""
     state = EngineState(inst, beta)
     assert state.shrunken_view() == reference_view(state)
+    assert_view_form(state.shrunken_view())
     assert state.mates == reference_mates(state)
     script = tuple(tuple(Fraction(a) for a in phase) for phase in phases)
     phases = list(script)
     counts = dict.fromkeys(("augment", "shrink", "dual_update", "expansion",
                             "rescale"), 0)
     while state.exposed_view_keys():
+        before = state.shrunken_view()
+        frozen = copy.deepcopy(before)
         walk = state.grow_forest()
         if walk is not None and walk.is_path():
-            before = state.shrunken_view()
             state.augment(walk)
             assert state.shrunken_view() is before
             counts["augment"] += 1
@@ -191,6 +210,8 @@ def checked_steps(inst: Instance, phases=(), beta=0) -> dict[str, int]:
             counts["expansion"] += len(blossoms - set(state.blossoms))
             counts["rescale"] += state._scale != scale
         assert state.shrunken_view() == reference_view(state)
+        assert_view_form(state.shrunken_view())
+        assert before == frozen
         assert state.mates == reference_mates(state)
     policy = ScriptedPolicy(tuple(script)) if script else None
     assert lift_matching(state) == solve(inst, policy=policy, beta=beta).final.matching
