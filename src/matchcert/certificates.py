@@ -31,7 +31,7 @@ original units.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import lcm
 from typing import Iterable
@@ -46,9 +46,10 @@ from .graph import (Instance, Matching, alternating_path_difference,
 ZERO = Fraction(0)
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(namedtuple("Violation", "constraint witness lhs rhs")):
     """One failed exact check: which constraint, where, and both sides."""
+
+    __slots__ = ()
 
     constraint: str
     witness: object
@@ -56,8 +57,9 @@ class Violation:
     rhs: object
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(namedtuple("Verdict", "violations")):
+    __slots__ = ()
+
     violations: tuple[Violation, ...]
 
     @property

@@ -12,7 +12,7 @@ import argparse
 import os
 import stat
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cache
 from typing import Any, Sequence
@@ -46,14 +46,16 @@ def figure2_instance() -> Instance:
     return Instance.from_edges(9, edges)
 
 
-@dataclass(frozen=True)
-class ScenarioReport:
+class ScenarioReport(namedtuple("ScenarioReport", "uniform scripted scripted_error "
+                                                   "oracle_minima divergence")):
     """Uniform run vs scripted run vs ground truth, per cardinality.
 
     divergence is the first cardinality where the scripted run's weight
     exceeds the oracle minimum, or None when the scripted run stayed
     optimal (or could not run at all).
     """
+
+    __slots__ = ()
 
     uniform: tuple[tuple[int, Fraction], ...]
     scripted: tuple[tuple[int, Fraction], ...] | None

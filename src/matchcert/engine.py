@@ -64,7 +64,7 @@ Design notes:
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
@@ -119,18 +119,18 @@ def _units(values: tuple[Fraction, ...], scale: int) -> tuple[int, ...]:
     return tuple(q.numerator * (scale // q.denominator) for q in values)
 
 
-@dataclass(frozen=True)
-class BlossomDual:
+class BlossomDual(namedtuple("BlossomDual", "nodes pi")):
     """One odd set of the laminar family with its dual value: an int in
     units of 1/scale in `DualState.blossom_units`, a Fraction in the view
     `DualState.blossoms`."""
+
+    __slots__ = ()
 
     nodes: frozenset[int]
     pi: int | Fraction
 
 
-@dataclass(frozen=True)
-class DualState:
+class DualState(namedtuple("DualState", "scale pi_units blossom_units beta", defaults=(ZERO,))):
     """Immutable copy of the duals: singleton values plus all blossoms.
 
     The laminar family is the set of all singletons together with the
@@ -145,10 +145,11 @@ class DualState:
     Fractions.
     """
 
+    # No __slots__: the cached properties keep their values in __dict__.
     scale: int
     pi_units: tuple[int, ...]
     blossom_units: tuple[BlossomDual, ...]
-    beta: Fraction = ZERO
+    beta: Fraction  # defaults to ZERO
 
     @classmethod
     def from_fractions(cls, singleton_pi: Iterable[Fraction],
@@ -187,8 +188,8 @@ def accumulated_pi(base: Iterable, sets: Iterable) -> list:
     return acc
 
 
-@dataclass(frozen=True)
-class CardinalityCertificate:
+class CardinalityCertificate(namedtuple("CardinalityCertificate",
+                                        "scale gamma_units y_units z_units k")):
     """A dual solution (gamma, y, z) claiming optimality at cardinality k.
 
     Like `DualState`, it holds ints in units of 1/scale, at the smallest
@@ -260,8 +261,7 @@ def transform_duals(dual: DualState, k: int) -> CardinalityCertificate:
         tuple((b.nodes, zu) for b, zu in zip(dual.blossom_units, z)), k)
 
 
-@dataclass(frozen=True)
-class Snapshot:
+class Snapshot(namedtuple("Snapshot", "cardinality matching dual_state weight")):
     """One intermediate matching with the duals frozen at that moment."""
 
     cardinality: int
@@ -275,14 +275,15 @@ class Snapshot:
         return transform_duals(self.dual_state, self.cardinality)
 
 
-@dataclass(frozen=True)
-class RunResult:
+class RunResult(namedtuple("RunResult", "snapshots status mode beta", defaults=(ZERO,))):
     """All snapshots of one run, ordered by cardinality 0, 1, ..., K."""
+
+    __slots__ = ()
 
     snapshots: tuple[Snapshot, ...]
     status: str  # STATUS_PERFECT or STATUS_NO_PERFECT
     mode: str  # "perfect" or "maximum"
-    beta: Fraction = ZERO
+    beta: Fraction  # defaults to ZERO
 
     @property
     def final(self) -> Snapshot:
@@ -298,8 +299,7 @@ class RunResult:
 # Dual update policies
 
 
-@dataclass(frozen=True)
-class ScriptedPolicy:
+class ScriptedPolicy(namedtuple("ScriptedPolicy", "phases")):
     """Explicit per-tree amounts for the first len(phases) dual updates.
 
     phases[i] lists the amounts for dual update i, bound to trees in
@@ -307,6 +307,8 @@ class ScriptedPolicy:
     the script is exhausted the run continues with uniform updates. Each
     phase is validated against the dual constraints before it is applied.
     """
+
+    __slots__ = ()
 
     phases: tuple[tuple[Fraction, ...], ...]
 
@@ -319,8 +321,7 @@ class ScriptedPolicy:
 # Views of the engine state
 
 
-@dataclass(frozen=True)
-class ShrunkenView:
+class ShrunkenView(namedtuple("ShrunkenView", "top incident")):
     """The shrunken graph: one node per maximal set, tight edges only.
 
     Node ids are the smallest original node of each maximal set, and
@@ -330,17 +331,20 @@ class ShrunkenView:
     once built, so the next view may share its lists.
     """
 
+    __slots__ = ()
+
     top: list[int]
     incident: dict[int, list[tuple[int, int]]]
 
 
-@dataclass(frozen=True)
-class ForestLabels:
+class ForestLabels(namedtuple("ForestLabels", "label parent root roots")):
     """Labels of the alternating forest over the shrunken graph.
 
     T-nodes (roots included) sit at even alternating distance from an
     exposed root, S-nodes at odd distance; unlabeled nodes are free.
     """
+
+    __slots__ = ()
 
     label: dict[int, str]
     parent: dict[int, tuple[int, int]]  # view node -> (parent view node, edge index)
@@ -348,8 +352,7 @@ class ForestLabels:
     roots: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class AlternatingWalk:
+class AlternatingWalk(namedtuple("AlternatingWalk", "nodes edges")):
     """An alternating walk between exposed shrunken-graph nodes.
 
     nodes are view ids; edges[i] is the instance edge index joining
@@ -358,6 +361,8 @@ class AlternatingWalk:
     no node is an augmenting path; otherwise it closes over a blossom.
     """
 
+    __slots__ = ()
+
     nodes: tuple[int, ...]
     edges: tuple[int, ...]
 
@@ -365,9 +370,10 @@ class AlternatingWalk:
         return len(set(self.nodes)) == len(self.nodes)
 
 
-@dataclass(frozen=True)
-class AlphaResult:
+class AlphaResult(namedtuple("AlphaResult", "alpha binding")):
     """Largest feasible uniform dual step, or None when unbounded."""
+
+    __slots__ = ()
 
     alpha: Fraction | None
     binding: tuple | None  # (constraint id, witness) of the binding bound

@@ -12,7 +12,7 @@ format and in all JSON output.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -67,8 +67,7 @@ class Edge(NamedTuple):
     weight: Fraction
 
 
-@dataclass(frozen=True)
-class Instance:
+class Instance(namedtuple("Instance", "node_count edges")):
     """A simple undirected graph with exact rational edge weights.
 
     Invariants, enforced at construction:
@@ -81,21 +80,22 @@ class Instance:
     order, so two textually identical files produce identical runs.
     """
 
+    # No __slots__: the cached properties keep their values in __dict__.
     node_count: int
     edges: tuple[Edge, ...]
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.node_count, int) or self.node_count < 1:
-            raise ValueError(f"node_count must be a positive integer, got {self.node_count!r}")
+    def __new__(cls, node_count: int, edges: tuple[Edge, ...]) -> "Instance":
+        if not isinstance(node_count, int) or node_count < 1:
+            raise ValueError(f"node_count must be a positive integer, got {node_count!r}")
         seen: set[tuple[int, int]] = set()
-        for e in self.edges:
+        for e in edges:
             if not isinstance(e, Edge):
                 raise TypeError(f"edges must be Edge tuples, got {e!r}")
             if not (isinstance(e.u, int) and isinstance(e.v, int)):
                 raise TypeError(f"edge endpoints must be ints: {e!r}")
             if e.u == e.v:
                 raise ValueError(f"self-loop at node {e.u}")
-            if not (0 <= e.u < self.node_count and 0 <= e.v < self.node_count):
+            if not (0 <= e.u < node_count and 0 <= e.v < node_count):
                 raise ValueError(f"edge endpoint out of range: {e!r}")
             if e.u > e.v:
                 raise ValueError(f"edge endpoints must be ordered u < v: {e!r}")
@@ -105,6 +105,13 @@ class Instance:
             if pair in seen:
                 raise ValueError(f"duplicate edge {pair}")
             seen.add(pair)
+        return super().__new__(cls, node_count, edges)
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "Instance":
+        """namedtuple's `_make`, which `_replace` calls, but through the
+        checks of `__new__`."""
+        return cls(*iterable)
 
     @classmethod
     def from_edges(cls, node_count: int,
@@ -149,8 +156,7 @@ class Instance:
         return Fraction(min(weights), scale)
 
 
-@dataclass(frozen=True)
-class Matching:
+class Matching(namedtuple("Matching", "edges")):
     """A set of edges (as ordered node pairs) no two of which share a node.
 
     The edge set doubles as the characteristic vector of the matching:
@@ -160,9 +166,9 @@ class Matching:
 
     edges: frozenset[tuple[int, int]]
 
-    def __post_init__(self) -> None:
+    def __new__(cls, edges: frozenset[tuple[int, int]]) -> "Matching":
         seen: set[int] = set()
-        for u, v in self.edges:
+        for u, v in edges:
             if u == v:
                 raise ValueError(f"self-loop ({u}, {v}) in matching")
             if u > v:
@@ -171,6 +177,13 @@ class Matching:
                 raise ValueError(f"node shared by two matching edges near ({u}, {v})")
             seen.add(u)
             seen.add(v)
+        return super().__new__(cls, edges)
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "Matching":
+        """namedtuple's `_make`, which `_replace` calls, but through the
+        checks of `__new__`."""
+        return cls(*iterable)
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[int, int]]) -> "Matching":
@@ -226,9 +239,10 @@ def matching_weight(inst: Instance, m: Matching) -> Fraction:
     return Fraction(total, scale)
 
 
-@dataclass(frozen=True)
-class NormalizationRecord:
+class NormalizationRecord(namedtuple("NormalizationRecord", "shift original")):
     """Record of the uniform weight shift applied by normalize_weights."""
+
+    __slots__ = ()
 
     shift: Fraction
     original: Instance
@@ -248,8 +262,7 @@ def normalize_weights(inst: Instance) -> tuple[Instance, NormalizationRecord]:
     return shifted, NormalizationRecord(shift, inst)
 
 
-@dataclass(frozen=True)
-class SymmetricDifference:
+class SymmetricDifference(namedtuple("SymmetricDifference", "kind components")):
     """Classification of the symmetric difference of two matchings.
 
     kind is one of:
@@ -260,6 +273,8 @@ class SymmetricDifference:
     components holds one node sequence per component: path order for paths,
     cycle order (starting at the smallest node) for cycles.
     """
+
+    __slots__ = ()
 
     kind: str
     components: tuple[tuple[int, ...], ...]

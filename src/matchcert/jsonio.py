@@ -395,7 +395,7 @@ def _emit_snapshots(snapshots: tuple[Snapshot, ...], newline: str,
         matching = ("[" + ",".join(map(edges.__getitem__, pairs)) + i2 + "]"
                     if pairs else "[]")
         singletons = rationals(dual.pi_units, in_dual)
-        blossoms = sets([(b.nodes, b.pi) for b in dual.blossom_units], in_dual, '"pi": ')
+        blossoms = sets(dual.blossom_units, in_dual, '"pi": ')
         y = rationals(cert.y_units, in_cert)
         z = sets(cert.z_units, in_cert, '"value": ')
         out.append(

@@ -11,7 +11,7 @@ the inner loop stays in machine arithmetic; results are exact Fractions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .graph import Instance, Matching, matching_weight
@@ -23,16 +23,18 @@ Pair = tuple[int, int]
 _Entry = tuple[int, tuple[Pair, ...]]
 
 
-@dataclass(frozen=True)
-class CardinalityRecord:
+class CardinalityRecord(namedtuple("CardinalityRecord", "cardinality min_weight witness")):
+    __slots__ = ()
+
     cardinality: int
     min_weight: Fraction
     witness: Matching
 
 
-@dataclass(frozen=True)
-class OracleTable:
+class OracleTable(namedtuple("OracleTable", "by_cardinality")):
     """Per-cardinality minima for one instance, k = 0 .. nu."""
+
+    __slots__ = ()
 
     by_cardinality: tuple[CardinalityRecord, ...]
 

@@ -15,7 +15,7 @@ minimum matching weight of the original over all cardinalities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .certificates import (Verdict, Violation, cut_loads, cut_violations,
@@ -43,13 +43,16 @@ class CompletionRefusedError(ValueError):
         self.pi_star_max = pi_star_max
 
 
-@dataclass(frozen=True)
-class AuxiliaryCompletion:
+class AuxiliaryCompletion(namedtuple("AuxiliaryCompletion",
+                                     "aux_instance extended_matching lifted_duals "
+                                     "base_node_count exposed_nodes")):
     """A snapshot completed to a certified perfect matching.
 
     Helper nodes are appended after the original ones: helper i (0-based)
     is node base_node_count + i, matched to exposed_nodes[i].
     """
+
+    __slots__ = ()
 
     aux_instance: Instance
     extended_matching: Matching

@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -350,8 +349,8 @@ class TestVerifyRun:
     def test_tampered_weight_detected(self, p4):
         run = solve(p4)
         snap = run.snapshots[1]
-        tampered = replace(run, snapshots=(
-            run.snapshots[0], replace(snap, weight=snap.weight + 1),
+        tampered = run._replace(snapshots=(
+            run.snapshots[0], snap._replace(weight=snap.weight + 1),
             run.snapshots[2]))
         verdict = verify_run(p4, tampered)
         assert any(v.constraint.startswith("snapshot-weight")
@@ -360,7 +359,7 @@ class TestVerifyRun:
     def test_status_must_agree_with_final_matching(self, p4):
         run = solve(p4)
         assert run.status == STATUS_PERFECT
-        verdict = verify_run(p4, replace(run, status=STATUS_NO_PERFECT))
+        verdict = verify_run(p4, run._replace(status=STATUS_NO_PERFECT))
         assert [(v.constraint, v.witness, v.lhs, v.rhs)
                 for v in verdict.violations] == \
             [("run-status", STATUS_NO_PERFECT, 4, 4)]
@@ -368,7 +367,7 @@ class TestVerifyRun:
         path5 = Instance.from_edges(5, [(0, 1, 3), (1, 2, 1), (2, 3, 5), (3, 4, 2)])
         run = solve(path5)
         assert run.status == STATUS_NO_PERFECT and verify_run(path5, run).passed
-        verdict = verify_run(path5, replace(run, status=STATUS_PERFECT))
+        verdict = verify_run(path5, run._replace(status=STATUS_PERFECT))
         assert [(v.constraint, v.witness, v.lhs, v.rhs)
                 for v in verdict.violations] == \
             [("run-status", STATUS_PERFECT, 4, 5)]

@@ -9,8 +9,9 @@ import pytest
 
 from matchcert.certificates import Verdict, Violation, verify_run
 from matchcert.cli import figure2_instance, main
-from matchcert.engine import ScriptedPolicy, solve
-from matchcert.graph import Instance, format_instance, normalize_weights
+from matchcert.engine import (STATUS_NO_PERFECT, BlossomDual, DualState, RunResult,
+                              ScriptedPolicy, Snapshot, solve)
+from matchcert.graph import Instance, Matching, format_instance, normalize_weights
 from matchcert.oracle import min_weight_by_cardinality
 from matchcert import jsonio
 
@@ -242,6 +243,24 @@ def test_writer_matches_reference_with_a_failing_verdict(fig2):
     payload = jsonio.run_result_to_dict(run)
     payload["verification"] = jsonio.verdict_to_dict(verdict)
     assert_writes_reference(payload, run)
+
+
+def test_writer_matches_json_on_an_empty_run():
+    # No solve returns a run without its k=0 snapshot, but the library
+    # writes one; the reference builder cannot, as it sizes the node ids
+    # from the snapshots.
+    run = RunResult((), STATUS_NO_PERFECT, "maximum")
+    plain = {"status": STATUS_NO_PERFECT, "mode": "maximum", "beta": "0", "snapshots": []}
+    assert jsonio.dumps(jsonio.run_result_to_dict(run)) == json.dumps(plain, indent=2) + "\n"
+
+
+def test_writer_matches_reference_on_a_blossom_without_nodes():
+    # Not an odd set, but a record the library builds: its node lists in
+    # `duals.blossoms` and `certificate.z` are empty.
+    duals = DualState(1, (0, 0), (BlossomDual(frozenset(), 1),))
+    run = RunResult((Snapshot(0, Matching.empty(), duals, Fraction(0)),),
+                    STATUS_NO_PERFECT, "maximum")
+    assert_writes_reference(jsonio.run_result_to_dict(run), run)
 
 
 @pytest.mark.parametrize("run", [

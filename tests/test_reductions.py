@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -60,7 +59,7 @@ class TestAuxiliaryCompletion:
     def test_perturbed_helper_dual_fails(self, p4):
         run = solve(p4)
         comp = build_auxiliary_completion(p4, run.snapshots[1])
-        forged = replace(comp, lifted_duals=DualState.from_fractions(
+        forged = comp._replace(lifted_duals=DualState.from_fractions(
             comp.lifted_duals.singleton_pi[:4] + (Fraction(0), -HALF),
             comp.lifted_duals.blossoms))
         verdict = check_perfect_certificate(forged)
@@ -80,7 +79,7 @@ class TestAuxiliaryCompletion:
         for shift, expected in ((HALF, "edge-load"), (-HALF, "cs-matched-edge-tight")):
             pi = list(comp.lifted_duals.singleton_pi)
             pi[4] += shift
-            forged = replace(comp, lifted_duals=DualState.from_fractions(
+            forged = comp._replace(lifted_duals=DualState.from_fractions(
                 tuple(pi), comp.lifted_duals.blossoms))
             verdict = check_perfect_certificate(forged)
             assert [v.constraint for v in verdict.violations
@@ -92,7 +91,7 @@ class TestAuxiliaryCompletion:
         path = Instance.from_edges(6, [(v, v + 1, 2) for v in range(5)])
         comp = build_auxiliary_completion(path, solve(path).final)
         odd = frozenset({0, 2, 4})
-        forged = replace(comp, lifted_duals=DualState.from_fractions(
+        forged = comp._replace(lifted_duals=DualState.from_fractions(
             comp.lifted_duals.singleton_pi, (BlossomDual(odd, HALF),)))
         verdict = check_perfect_certificate(forged)
         assert [(v.constraint, v.witness, v.lhs, v.rhs) for v in verdict.violations
@@ -109,7 +108,7 @@ class TestAuxiliaryCompletion:
         # Path 1-2-3 with snapshot k=1 forged to match the non-edge {1, 3}.
         path = Instance.from_edges(3, [(0, 1, 1), (1, 2, 1)])
         snap = solve(path).snapshots[1]
-        forged = replace(snap, matching=Matching.from_pairs([(0, 2)]))
+        forged = snap._replace(matching=Matching.from_pairs([(0, 2)]))
         verdict = check_perfect_certificate(build_auxiliary_completion(path, forged))
         assert [(v.constraint, v.witness) for v in verdict.violations] == \
             [("matching-edge", (0, 2))]
@@ -130,9 +129,9 @@ class TestAuxiliaryCompletion:
                 dual = comp.lifted_duals
                 pi = list(dual.singleton_pi)
                 pi[-1] += rng.choice((Fraction(1, 3), Fraction(-1, 7)))
-                blossoms = tuple(replace(b, pi=b.pi + Fraction(1, 2))
+                blossoms = tuple(b._replace(pi=b.pi + Fraction(1, 2))
                                  for b in dual.blossoms)
-                forged = replace(comp, lifted_duals=DualState.from_fractions(tuple(pi), blossoms))
+                forged = comp._replace(lifted_duals=DualState.from_fractions(tuple(pi), blossoms))
                 aux, m = forged.aux_instance, forged.extended_matching
                 loads = [edge_load(forged.lifted_duals, e.u, e.v) for e in aux.edges]
                 expected = [("edge-load", (e.u, e.v), load, e.weight)
@@ -151,7 +150,7 @@ class TestAuxiliaryCompletion:
     def test_non_perfect_matching_rejected(self, p4):
         run = solve(p4)
         comp = build_auxiliary_completion(p4, run.snapshots[2])
-        broken = replace(comp, extended_matching=Matching.from_pairs([(0, 1)]))
+        broken = comp._replace(extended_matching=Matching.from_pairs([(0, 1)]))
         with pytest.raises(ValueError):
             check_perfect_certificate(broken)
 
