@@ -11,37 +11,29 @@ whose dual constrains, for every edge e = {u, v},
     y_u + y_v + sum_{U : e inside U} z_U + gamma  <=  w_e,
     y <= 0,  z <= 0.
 
-The transformation is gamma = 2 * max accumulated dual, y_v = accumulated
-dual of v minus that maximum, z_U = -2 pi(U) on blossoms. It lives in
-`matchcert.engine` beside `accumulated_pi` (`transform_duals`, cached per
-snapshot as `Snapshot.certificate`) and is re-exported here; this module
-holds the checkers, which compute from the constraint definitions and
-share no arithmetic with the builder. Checking dual feasibility plus
-complementary slackness against a matching of cardinality k proves, by
-weak LP duality, that the matching has minimum weight among all matchings
-of cardinality k. No LP is ever solved; every check is an exact
-comparison.
-
-Duals and certificates hold ints in units of 1/scale (`DualState`,
-`CardinalityCertificate`). A checker brings them and the instance's
-scaled weights (`Instance.scaled_weights`) to the lcm of the two scales
-and compares ints; only a violation is reported as Fractions, in
-original units.
+The builder (`engine.transform_duals`, cached as `Snapshot.certificate`)
+is re-exported here; the checkers share no arithmetic with it. Dual
+feasibility plus complementary slackness against a matching of size k
+proves, by weak LP duality, that it is minimum-weight among those. The
+checks compare ints at the lcm of the duals' and weights' scales
+(`Instance.scaled_weights`) and report violations as Fractions in
+original units; a run's checker recomputes only changed edges.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import defaultdict, namedtuple
 from fractions import Fraction
+from itertools import chain, compress, count
 from math import lcm
+from operator import ne
 from typing import Iterable
 
 # CardinalityCertificate and transform_duals are re-exported: callers
 # import the builder from here, beside its checker.
 from .engine import (STATUS_PERFECT, CardinalityCertificate, DualState,
                      RunResult, transform_duals)
-from .graph import (Instance, Matching, alternating_path_difference,
-                    matching_weight)
+from .graph import Instance, Matching, alternating_path_difference
 
 ZERO = Fraction(0)
 
@@ -68,10 +60,6 @@ class Verdict(namedtuple("Verdict", "violations")):
 
     def __bool__(self) -> bool:
         return self.passed
-
-
-def _verdict(violations: Iterable[Violation]) -> Verdict:
-    return Verdict(tuple(violations))
 
 
 def _family_violations(sets: Iterable[frozenset[int]]) -> list[Violation]:
@@ -149,7 +137,89 @@ def check_cut_feasibility(inst: Instance, dual: DualState) -> Verdict:
     cut by the edge must not exceed the edge weight. Loads are compared
     on ints (`cut_loads`) and reported in original units.
     """
-    return _verdict(cut_violations(inst, dual, *cut_loads(inst, dual)))
+    return Verdict(tuple(cut_violations(inst, dual, *cut_loads(inst, dual))))
+
+
+class _RunChecker:
+    """`check_cardinality_certificate` on a run's snapshots, in order. It keeps
+    the last matching, weight, scale, y, gamma, value per distinct z set and
+    F1 violators, and each edge's z sum and left-hand side. It diffs each
+    certificate with the kept one, never with engine state, and recomputes
+    only edges at a node whose y_v + gamma/2 moved or in a z set that moved."""
+
+    def __init__(self, inst: Instance):
+        self.inst, self.incident, self.below = inst, defaultdict(list), defaultdict(list)
+        for i, (u, v, _) in enumerate(inst.edges):
+            self.incident[u].append(i)
+            self.incident[v].append(i)
+            self.below[u].append((i, v))  # edges by lower end
+        self.pairs, self.weight_units, self.scale, self.y = frozenset(), 0, None, ()
+
+    def check(self, m: Matching, cert: CardinalityCertificate) -> list[Violation]:
+        inst, edges = self.inst, self.inst.edges
+        index, (weight_scale, weights) = inst._pair_index, inst.scaled_weights
+        for sign, pairs in ((1, m.edges - self.pairs), (-1, self.pairs - m.edges)):
+            self.weight_units += sign * sum(weights[i] for i in map(index.get, pairs)
+                                            if i is not None)
+        self.pairs = m.edges
+        self.weight = Fraction(self.weight_units, weight_scale) \
+            if index.keys() >= m.edges else None  # None: a matched non-edge
+        y, gamma, z = cert.y_units, cert.gamma_units, cert.z_units
+        violations = _family_violations(nodes for nodes, _ in z)
+        if self.weight is None:
+            violations += non_edge_violations(inst, m)
+        if len(m) != cert.k:
+            violations.append(Violation("cardinality", None, len(m), cert.k))
+        if y and max(y) > 0:
+            violations += [Violation("y-nonpositive", v, Fraction(yv, cert.scale), ZERO)
+                           for v, yv in enumerate(y) if yv > 0]
+        violations += [Violation("z-nonpositive", nodes, Fraction(zu, cert.scale), ZERO)
+                       for nodes, zu in z if zu > 0]
+        zmap: dict[frozenset[int], int] = {}
+        for nodes, zu in z:  # duplicate sets add up
+            zmap[nodes] = zmap.get(nodes, 0) + zu
+        if cert.scale != self.scale or len(y) != len(self.y):
+            scale = lcm(weight_scale, cert.scale)
+            self.units, self.factor = scale, scale // cert.scale
+            self.w = [w * (scale // weight_scale) for w in weights]
+            self.scale, self.zmap, self.above = cert.scale, {}, set()
+            self.zin, self.lhs = [0] * len(edges), [0] * len(edges)
+            recheck, moved = set(range(len(edges))), ()
+        else:  # a potential stays put when y moves by -(change of gamma)/2
+            shift, odd = divmod(self.gamma - gamma, 2)
+            recheck, moved = set(), range(len(y)) if odd else \
+                compress(count(), map(ne, y, map(shift.__add__, self.y)))
+        recheck.update(chain.from_iterable(map(self.incident.__getitem__, moved)))
+        zin, old = self.zin, self.zmap
+        for nodes in {nodes for nodes, _ in zmap.items() ^ old.items()}:
+            delta = zmap.get(nodes, 0) - old.get(nodes, 0)
+            for x in nodes if delta else ():
+                for e, v in self.below[x]:
+                    if v in nodes:
+                        zin[e] += delta
+                        recheck.add(e)
+        self.y, self.gamma, self.zmap = y, gamma, zmap
+        lhs, w, f, over = self.lhs, self.w, self.factor, []
+        for e in recheck:
+            u, v, _ = edges[e]
+            lhs[e] = load = (y[u] + y[v] + gamma + zin[e]) * f
+            if load > w[e]:
+                over.append(e)
+        self.above = self.above.difference(recheck).union(over)
+        # F1 on every edge, CS1 on the matched ones, in edge order.
+        loose = [e for e in map(index.get, m.edges) if e is not None and lhs[e] < w[e]]
+        for e in sorted(self.above.union(loose)):
+            u, v, weight = edges[e]
+            violations.append(Violation(
+                "edge-feasibility" if lhs[e] > w[e] else "cs-matched-edge-tight",
+                (u, v), Fraction(lhs[e], self.units), weight))
+        exposed = sorted(set(range(len(y))).difference(chain.from_iterable(m.edges)))
+        violations += [Violation("cs-exposed-zero-y", v, Fraction(y[v], cert.scale), ZERO)
+                       for v in exposed if y[v] < 0]
+        return violations + [
+            Violation("cs-blossom-full", nodes, inside, (len(nodes) - 1) // 2)
+            for nodes, zu in z if zu < 0
+            if (inside := m.count_inside(nodes)) != (len(nodes) - 1) // 2]
 
 
 def check_cardinality_certificate(inst: Instance, m: Matching,
@@ -161,110 +231,41 @@ def check_cardinality_certificate(inst: Instance, m: Matching,
     every edge satisfies the dual constraint (F1); y and z are nonpositive
     (F2); matched edges make (F1) tight (CS1); nodes with negative y are
     matched (CS2); sets with negative z contain exactly (|U|-1)/2 matching
-    edges (CS3). A passing verdict certifies m is minimum-weight among
-    cardinality-k matchings.
-
-    Every check reads the certificate's ints, brought with the weights
-    (`Instance.scaled_weights`, scaled once per instance) to the lcm of
-    the two scales. Violations are reported in original units.
+    edges (CS3). A pass certifies m minimum-weight among cardinality-k
+    matchings. This is the run checker on one snapshot.
     """
-    violations = _family_violations(nodes for nodes, _ in cert.z_units)
-    violations += non_edge_violations(inst, m)
-
-    if len(m) != cert.k:
-        violations.append(Violation("cardinality", None, len(m), cert.k))
-
-    weight_scale, weights = inst.scaled_weights
-    scale = lcm(weight_scale, cert.scale)
-    y, z, gamma = cert.y_units, cert.z_units, cert.gamma_units
-    if scale != cert.scale:
-        factor = scale // cert.scale
-        y = [v * factor for v in y]
-        z = [(nodes, zu * factor) for nodes, zu in z]
-        gamma *= factor
-    if scale != weight_scale:
-        factor = scale // weight_scale
-        weights = [w * factor for w in weights]
-
-    for v, yv in enumerate(y):
-        if yv > 0:
-            violations.append(Violation("y-nonpositive", v, Fraction(yv, scale), ZERO))
-    for nodes, zu in z:
-        if zu > 0:
-            violations.append(Violation("z-nonpositive", nodes, Fraction(zu, scale), ZERO))
-
-    # Sets with z = 0 add nothing to any sum.
-    nonzero = [(nodes, zu) for nodes, zu in z if zu]
-    matched = m.edges
-    for (u, v, weight), w in zip(inst.edges, weights):
-        lhs = y[u] + y[v] + gamma
-        for nodes, zu in nonzero:
-            if u in nodes and v in nodes:
-                lhs += zu
-        if lhs > w:
-            violations.append(
-                Violation("edge-feasibility", (u, v), Fraction(lhs, scale), weight))
-        elif lhs != w and (u, v) in matched:
-            violations.append(
-                Violation("cs-matched-edge-tight", (u, v), Fraction(lhs, scale),
-                          weight))
-
-    for v, yv in enumerate(y):
-        if yv < 0 and not m.covers(v):
-            violations.append(
-                Violation("cs-exposed-zero-y", v, Fraction(yv, scale), ZERO))
-
-    for nodes, zu in z:
-        if zu < 0:
-            inside = m.count_inside(nodes)
-            expected = (len(nodes) - 1) // 2
-            if inside != expected:
-                violations.append(
-                    Violation("cs-blossom-full", nodes, inside, expected))
-
-    return _verdict(violations)
+    return Verdict(tuple(_RunChecker(inst).check(m, cert)))
 
 
 def verify_run(inst: Instance, run: RunResult) -> Verdict:
     """Verify a whole run: every snapshot's certificate plus the shape of
     the snapshot sequence.
 
-    Per snapshot: check the certificate of the frozen duals
-    (`Snapshot.certificate`, built once per snapshot) against the
-    snapshot's matching; recheck the stored weight (skipped when the
-    matching uses a non-edge, which the certificate check reports as
-    `matching-edge`); check that its duals carry the run's beta
-    (`beta-mismatch`).
-    Across snapshots: cardinalities must be 0, 1, ..., K, and consecutive
-    matchings must differ by a single alternating path. The first
-    snapshot's duals must be the initial ones: beta on every node and no
-    blossoms (`beta-mismatch`, witness the node or the blossom). The
-    run's status must agree with its last matching: `perfect-found`
-    exactly when that matching covers all n nodes.
+    Per snapshot, with one run checker (`_RunChecker`): the certificate
+    against the matching; the stored weight, carried from the previous
+    snapshot (skipped when a matched pair is a non-edge); the duals' beta.
+    Across snapshots: cardinalities are 0, 1, ..., K (an empty run misses
+    k=0); consecutive matchings differ by one alternating path; the first
+    duals are beta on every node and no blossoms (`beta-mismatch`, witness
+    the node or blossom); the status is `perfect-found` iff the last matching is perfect.
     """
+    if not run.snapshots:
+        return Verdict((Violation("snapshot-cardinality-sequence:k=0", 0, "missing", 0),))
     violations: list[Violation] = []
-
+    checker = _RunChecker(inst)
     for i, snap in enumerate(run.snapshots):
         tag = f"k={snap.cardinality}"
         if snap.cardinality != i:
             violations.append(
-                Violation(f"snapshot-cardinality-sequence:{tag}", i,
-                          snap.cardinality, i))
+                Violation(f"snapshot-cardinality-sequence:{tag}", i, snap.cardinality, i))
         if snap.dual_state.beta != run.beta:
             violations.append(
                 Violation(f"beta-mismatch:{tag}", None, snap.dual_state.beta, run.beta))
-        try:
-            actual_weight = matching_weight(inst, snap.matching)
-        except ValueError:  # a non-edge, reported below as matching-edge
-            actual_weight = snap.weight
-        if actual_weight != snap.weight:
+        sub = checker.check(snap.matching, snap.certificate)
+        if checker.weight is not None and checker.weight != snap.weight:
             violations.append(
-                Violation(f"snapshot-weight:{tag}", None, snap.weight, actual_weight))
-        sub = check_cardinality_certificate(inst, snap.matching, snap.certificate)
-        for viol in sub.violations:
-            violations.append(
-                Violation(f"{viol.constraint}:{tag}", viol.witness,
-                          viol.lhs, viol.rhs))
+                Violation(f"snapshot-weight:{tag}", None, snap.weight, checker.weight))
+        violations += [Violation(f"{v.constraint}:{tag}", *v[1:]) for v in sub]
 
     first = run.snapshots[0]
     dual, tag = first.dual_state, f"beta-mismatch:k={first.cardinality}"
@@ -285,5 +286,4 @@ def verify_run(inst: Instance, run: RunResult) -> Verdict:
     covered = 2 * len(run.final.matching)
     if (covered == inst.node_count) != (run.status == STATUS_PERFECT):
         violations.append(Violation("run-status", run.status, covered, inst.node_count))
-
-    return _verdict(violations)
+    return Verdict(tuple(violations))

@@ -48,7 +48,8 @@ from matchcert.reductions import (build_auxiliary_completion,
                                   build_doubled_graph,
                                   check_perfect_certificate)
 from util import (assert_round_trip, minimum_perfect_weight, random_instance,
-                  reference_run_dict, replaced)
+                  reference_check_certificate, reference_run_dict,
+                  reference_verify_run, replaced)
 
 SEED = 20260809
 NONNEGATIVE_COUNT = 205
@@ -135,6 +136,22 @@ def test_criterion_2_certificates_sound_and_mutation_sensitive(suite):
     report("criterion 2 (certificate soundness and mutation sensitivity)",
            f"{len(suite)} runs verified, {len(sampled)} snapshots mutated, "
            f"{time.perf_counter() - start:.1f}s")
+
+
+def test_verdicts_match_the_reference_checker(suite):
+    """The run checker, which rechecks only what changed between
+    snapshots, equals the per-snapshot reference on every run, and on
+    each snapshot alone with a gamma bump or a dropped matched edge."""
+    rng = random.Random(SEED + 2)
+    for rec in suite:
+        assert verify_run(rec.normalized, rec.run) == \
+            reference_verify_run(rec.normalized, rec.run)
+        snap = rng.choice(rec.run.snapshots)
+        cert = snap.certificate
+        for m, c in ((snap.matching, replaced(cert, gamma=cert.gamma + 1)),
+                     (Matching(frozenset(list(snap.matching.edges)[1:])), cert)):
+            assert check_cardinality_certificate(rec.normalized, m, c) == \
+                reference_check_certificate(rec.normalized, m, c)
 
 
 def test_criterion_3_termination_at_matching_number(suite):

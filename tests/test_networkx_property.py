@@ -1,6 +1,7 @@
 """Property test beyond the oracle's node budget: random sparse graphs of
 up to 120 nodes, checked by the certificate verifier and against
-networkx's maximum-cardinality matching on negated weights, and stepped
+networkx's maximum-cardinality matching on negated weights (the verdict
+also against the per-snapshot reference checker), and stepped
 through the engine with its carried view checked after every step.
 
 Hypothesis and networkx are test-only; the module is skipped without them.
@@ -14,7 +15,7 @@ import pytest
 from matchcert.certificates import verify_run
 from matchcert.engine import solve
 from matchcert.graph import Instance
-from util import checked_steps
+from util import checked_steps, reference_verify_run
 
 hypothesis = pytest.importorskip("hypothesis")
 nx = pytest.importorskip("networkx")
@@ -46,7 +47,8 @@ def networkx_final(inst: Instance) -> tuple[int, Fraction]:
 @hypothesis.given(sparse_instances())
 def test_runs_verify_and_agree_with_networkx(inst):
     run = solve(inst)
-    assert verify_run(inst, run).passed
+    verdict = verify_run(inst, run)
+    assert verdict.passed and verdict == reference_verify_run(inst, run)
     assert (run.final.cardinality, run.final.weight) == networkx_final(inst)
 
 

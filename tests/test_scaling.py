@@ -21,7 +21,7 @@ from matchcert.engine import (EngineState, InfeasibleUpdateError,
 from matchcert.graph import Instance
 from matchcert.oracle import min_weight_by_cardinality
 
-from util import assert_round_trip, reference_run_dict
+from util import assert_round_trip, reference_run_dict, reference_verify_run
 
 SEED = 20261018
 COUNT = 120
@@ -74,6 +74,18 @@ def test_runs_round_trip_through_json():
         assert_round_trip(inst, run)
         rescaled += any(s.dual_state.scale % 5 == 0 for s in run.snapshots)
     assert rescaled > 0
+
+
+def test_verdicts_match_the_reference_checker():
+    """Runs that rescale mid-run, and scripted runs that fail their
+    certificates: the run checker equals the per-snapshot reference."""
+    failed = 0
+    for i, inst in corpus():
+        run = corpus_run(i, inst)
+        verdict = verify_run(inst, run)
+        assert verdict == reference_verify_run(inst, run)
+        failed += not verdict.passed
+    assert failed > 0
 
 
 def test_uniform_runs_verify_and_match_oracle():

@@ -10,14 +10,17 @@ import json
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
-from matchcert.certificates import verify_run
-from matchcert.engine import (BlossomDual, CardinalityCertificate, DualState,
-                              EngineState,
+from matchcert.certificates import (Verdict, Violation, _family_violations,
+                                    non_edge_violations, verify_run)
+from matchcert.engine import (STATUS_PERFECT, BlossomDual,
+                              CardinalityCertificate, DualState, EngineState,
                               RunResult, ScriptedPolicy, ShrunkenView,
                               apply_dual_update, compute_alpha, lift_matching,
                               shrink_blossom, solve)
-from matchcert.graph import Instance, normalize_weights
+from matchcert.graph import (Instance, Matching, alternating_path_difference,
+                             matching_weight, normalize_weights)
 from matchcert.jsonio import (dumps, rational_to_str, run_result_from_dict,
                               run_result_to_dict)
 
@@ -252,3 +255,104 @@ def reference_run_dict(run: RunResult) -> dict:
             },
         } for snap in run.snapshots],
     }
+
+
+def reference_check_certificate(inst: Instance, m: Matching,
+                                cert: CardinalityCertificate) -> Verdict:
+    """`check_cardinality_certificate` as one pass over every edge and
+    every nonzero z set, with no state kept between calls: the reference
+    the run checker must equal, violation for violation."""
+    zero = Fraction(0)
+    violations = _family_violations(nodes for nodes, _ in cert.z_units)
+    violations += non_edge_violations(inst, m)
+    if len(m) != cert.k:
+        violations.append(Violation("cardinality", None, len(m), cert.k))
+
+    weight_scale, weights = inst.scaled_weights
+    scale = lcm(weight_scale, cert.scale)
+    y, z, gamma = cert.y_units, cert.z_units, cert.gamma_units
+    if scale != cert.scale:
+        factor = scale // cert.scale
+        y = [v * factor for v in y]
+        z = [(nodes, zu * factor) for nodes, zu in z]
+        gamma *= factor
+    if scale != weight_scale:
+        factor = scale // weight_scale
+        weights = [w * factor for w in weights]
+
+    for v, yv in enumerate(y):
+        if yv > 0:
+            violations.append(Violation("y-nonpositive", v, Fraction(yv, scale), zero))
+    for nodes, zu in z:
+        if zu > 0:
+            violations.append(Violation("z-nonpositive", nodes, Fraction(zu, scale), zero))
+
+    nonzero = [(nodes, zu) for nodes, zu in z if zu]
+    matched = m.edges
+    for (u, v, weight), w in zip(inst.edges, weights):
+        lhs = y[u] + y[v] + gamma
+        for nodes, zu in nonzero:
+            if u in nodes and v in nodes:
+                lhs += zu
+        if lhs > w:
+            violations.append(
+                Violation("edge-feasibility", (u, v), Fraction(lhs, scale), weight))
+        elif lhs != w and (u, v) in matched:
+            violations.append(
+                Violation("cs-matched-edge-tight", (u, v), Fraction(lhs, scale), weight))
+
+    for v, yv in enumerate(y):
+        if yv < 0 and not m.covers(v):
+            violations.append(Violation("cs-exposed-zero-y", v, Fraction(yv, scale), zero))
+    for nodes, zu in z:
+        if zu < 0:
+            inside = m.count_inside(nodes)
+            expected = (len(nodes) - 1) // 2
+            if inside != expected:
+                violations.append(Violation("cs-blossom-full", nodes, inside, expected))
+    return Verdict(tuple(violations))
+
+
+def reference_verify_run(inst: Instance, run: RunResult) -> Verdict:
+    """`verify_run` as a loop of `reference_check_certificate` calls, one
+    per snapshot, with every weight summed afresh (`matching_weight`)."""
+    violations: list[Violation] = []
+    for i, snap in enumerate(run.snapshots):
+        tag = f"k={snap.cardinality}"
+        if snap.cardinality != i:
+            violations.append(
+                Violation(f"snapshot-cardinality-sequence:{tag}", i, snap.cardinality, i))
+        if snap.dual_state.beta != run.beta:
+            violations.append(
+                Violation(f"beta-mismatch:{tag}", None, snap.dual_state.beta, run.beta))
+        try:
+            actual_weight = matching_weight(inst, snap.matching)
+        except ValueError:  # a non-edge, reported as matching-edge
+            actual_weight = snap.weight
+        if actual_weight != snap.weight:
+            violations.append(
+                Violation(f"snapshot-weight:{tag}", None, snap.weight, actual_weight))
+        sub = reference_check_certificate(inst, snap.matching, snap.certificate)
+        violations += [Violation(f"{v.constraint}:{tag}", v.witness, v.lhs, v.rhs)
+                       for v in sub.violations]
+
+    first = run.snapshots[0]
+    dual, tag = first.dual_state, f"beta-mismatch:k={first.cardinality}"
+    initial = run.beta * dual.scale
+    for v, p in enumerate(dual.pi_units):
+        if p != initial:
+            violations.append(Violation(tag, v, Fraction(p, dual.scale), run.beta))
+    for b in dual.blossom_units:
+        violations.append(Violation(tag, b.nodes, Fraction(b.pi, dual.scale), "no blossom"))
+
+    for prev, nxt in zip(run.snapshots, run.snapshots[1:]):
+        diff = alternating_path_difference(prev.matching, nxt.matching)
+        if diff.kind != "single-path":
+            violations.append(
+                Violation(f"consecutive-single-path:k={nxt.cardinality}",
+                          diff.components, diff.kind, "single-path"))
+
+    covered = 2 * len(run.final.matching)
+    if (covered == inst.node_count) != (run.status == STATUS_PERFECT):
+        violations.append(Violation("run-status", run.status, covered, inst.node_count))
+    return Verdict(tuple(violations))
