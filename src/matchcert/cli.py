@@ -18,9 +18,10 @@ from functools import cache
 from typing import Any, Sequence
 
 from . import certificates, jsonio, oracle, reductions
-from .engine import RunResult, ScriptedPolicy, solve
-from .graph import (Instance, ParseError, format_instance, normalize_weights,
-                    parse_instance, parse_natural, parse_rational)
+from .engine import RunResult, solve
+from .graph import (Instance, ParseError, as_rational, format_instance,
+                    normalize_weights, parse_instance, parse_natural,
+                    parse_rational)
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
@@ -76,15 +77,15 @@ def compare_dual_policies(inst: Instance,
     table = oracle.min_weight_by_cardinality(inst)
     minima = tuple(table.min_weight(k) for k in range(table.nu + 1))
 
-    uniform_run = solve(inst, mode="maximum", policy=None)
+    uniform_run = solve(inst, mode="maximum")
     uniform = tuple((s.cardinality, s.weight) for s in uniform_run.snapshots)
 
     scripted: tuple[tuple[int, Fraction], ...] | None
     scripted_error: str | None = None
     divergence: int | None = None
     try:
-        scripted_run = solve(inst, mode="maximum",
-                             policy=ScriptedPolicy.single_phase(amounts))
+        phase = tuple(as_rational(a) for a in amounts)
+        scripted_run = solve(inst, mode="maximum", phases=(phase,))
     except ValueError as exc:
         scripted = None
         scripted_error = str(exc)
@@ -140,7 +141,7 @@ def _write_text(path: str, text: str) -> None:
             handle.truncate()
 
 
-def _parse_amounts_file(path: str) -> ScriptedPolicy:
+def _parse_amounts_file(path: str) -> tuple[tuple[Fraction, ...], ...]:
     """One dual-update phase per line; amounts separated by spaces or commas."""
     phases = []
     with open(path, "r", encoding="utf-8") as handle:
@@ -151,7 +152,7 @@ def _parse_amounts_file(path: str) -> ScriptedPolicy:
             phases.append(_parse_amounts_option(line))
     if not phases:
         raise ValueError(f"no dual-update phases found in {path}")
-    return ScriptedPolicy(tuple(phases))
+    return tuple(phases)
 
 
 def _parse_amounts_option(text: str) -> tuple[Fraction, ...]:
@@ -163,14 +164,14 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     normalized, record = normalize_weights(inst)
 
     if args.policy == "uniform":
-        policy = None
+        phases = ()
     elif args.policy.startswith("scripted="):
-        policy = _parse_amounts_file(args.policy[len("scripted="):])
+        phases = _parse_amounts_file(args.policy[len("scripted="):])
     else:
         raise ValueError(f"unknown policy {args.policy!r}; "
                          "use 'uniform' or 'scripted=<amounts-file>'")
 
-    run = solve(normalized, mode=args.mode, policy=policy, beta=parse_rational(args.beta))
+    run = solve(normalized, mode=args.mode, phases=phases, beta=parse_rational(args.beta))
     payload = jsonio.run_result_to_dict(run)
     if record.shift != 0:
         payload["normalization"] = {"shift": jsonio.rational_to_str(record.shift)}
@@ -294,7 +295,7 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
     verdict = reductions.check_perfect_certificate(comp)
     payload = {
         "instance": format_instance(comp.aux_instance),
-        "matching": [[u + 1, v + 1] for u, v in comp.extended_matching.sorted_edges()],
+        "matching": jsonio.matching_to_json(comp.extended_matching),
         "duals": jsonio.dual_state_to_dict(comp.lifted_duals),
         "exposed": [v + 1 for v in comp.exposed_nodes],
         "check": jsonio.verdict_to_dict(verdict),

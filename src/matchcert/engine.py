@@ -68,7 +68,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from typing import Callable, Iterable, Iterator, Mapping, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .graph import Instance, Matching, RationalInput, as_rational
 
@@ -296,28 +296,6 @@ class RunResult(namedtuple("RunResult", "snapshots status mode beta", defaults=(
 
 
 # ---------------------------------------------------------------------------
-# Dual update policies
-
-
-class ScriptedPolicy(namedtuple("ScriptedPolicy", "phases")):
-    """Explicit per-tree amounts for the first len(phases) dual updates.
-
-    phases[i] lists the amounts for dual update i, bound to trees in
-    ascending order of their root id; trees beyond the list get 0. Once
-    the script is exhausted the run continues with uniform updates. Each
-    phase is validated against the dual constraints before it is applied.
-    """
-
-    __slots__ = ()
-
-    phases: tuple[tuple[Fraction, ...], ...]
-
-    @classmethod
-    def single_phase(cls, amounts: Iterable[RationalInput]) -> "ScriptedPolicy":
-        return cls((tuple(as_rational(a) for a in amounts),))
-
-
-# ---------------------------------------------------------------------------
 # Views of the engine state
 
 
@@ -337,7 +315,7 @@ class ShrunkenView(namedtuple("ShrunkenView", "top incident")):
     incident: dict[int, list[tuple[int, int]]]
 
 
-class ForestLabels(namedtuple("ForestLabels", "label parent root roots")):
+class ForestLabels(namedtuple("ForestLabels", "label root roots")):
     """Labels of the alternating forest over the shrunken graph.
 
     T-nodes (roots included) sit at even alternating distance from an
@@ -347,7 +325,6 @@ class ForestLabels(namedtuple("ForestLabels", "label parent root roots")):
     __slots__ = ()
 
     label: dict[int, str]
-    parent: dict[int, tuple[int, int]]  # view node -> (parent view node, edge index)
     root: dict[int, int]
     roots: tuple[int, ...]
 
@@ -599,7 +576,7 @@ class EngineState:
                 root[mate_key] = root[u]
                 heapq.heappush(pending, mate_key)
 
-        self._forest = ForestLabels(label, parent, root, roots)
+        self._forest = ForestLabels(label, root, roots)
         self._walk = walk
         return walk
 
@@ -915,9 +892,8 @@ def apply_dual_update(state: EngineState,
 
 def solve(inst: Instance,
           mode: str = "maximum",
-          policy: ScriptedPolicy | None = None,
+          phases: Sequence[Sequence[RationalInput]] = (),
           beta: RationalInput = 0,
-          on_dual_update: Callable[[EngineState], None] | None = None,
           ) -> RunResult:
     """Run the solver, recording a snapshot at every cardinality.
 
@@ -927,15 +903,21 @@ def solve(inst: Instance,
     cardinality, which "maximum" mode treats as normal termination and
     "perfect" mode flags as infeasible (see RunResult.infeasible).
 
-    on_dual_update, when given, is called with the engine state after
-    every applied dual update; useful for instrumentation.
+    Dual updates are uniform, by the largest feasible step, except for
+    the first len(phases): phases[i] lists the per-tree amounts of dual
+    update i, bound to the forest's trees in ascending order of root id.
+    Trees beyond the end of a phase get 0, and a phase listing more
+    amounts than there are trees raises ValueError. Each phase is checked
+    against the dual constraints before it is applied
+    (InfeasibleUpdateError). To observe every dual update, drive the
+    state step by step (see EngineState).
     """
     if mode not in ("perfect", "maximum"):
         raise ValueError(f"unknown mode {mode!r}")
 
     state = EngineState(inst, beta)
     snapshots = [state.snapshot()]
-    scripted = list(policy.phases) if policy is not None else []
+    scripted = list(phases)
 
     steps = 0
     step_limit = 200 + 50 * (inst.node_count + len(inst.edges))
@@ -970,7 +952,5 @@ def solve(inst: Instance,
                 break
             amounts = result.alpha
         apply_dual_update(state, amounts)
-        if on_dual_update is not None:
-            on_dual_update(state)
 
     return RunResult(tuple(snapshots), status, mode, state.beta)

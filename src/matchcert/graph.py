@@ -239,13 +239,12 @@ def matching_weight(inst: Instance, m: Matching) -> Fraction:
     return Fraction(total, scale)
 
 
-class NormalizationRecord(namedtuple("NormalizationRecord", "shift original")):
+class NormalizationRecord(namedtuple("NormalizationRecord", "shift")):
     """Record of the uniform weight shift applied by normalize_weights."""
 
     __slots__ = ()
 
     shift: Fraction
-    original: Instance
 
 
 def normalize_weights(inst: Instance) -> tuple[Instance, NormalizationRecord]:
@@ -256,10 +255,10 @@ def normalize_weights(inst: Instance) -> tuple[Instance, NormalizationRecord]:
     """
     shift = max(ZERO, -inst.min_weight())
     if shift == 0:
-        return inst, NormalizationRecord(ZERO, inst)
+        return inst, NormalizationRecord(ZERO)
     shifted = Instance(inst.node_count,
                        tuple(Edge(e.u, e.v, e.weight + shift) for e in inst.edges))
-    return shifted, NormalizationRecord(shift, inst)
+    return shifted, NormalizationRecord(shift)
 
 
 class SymmetricDifference(namedtuple("SymmetricDifference", "kind components")):
@@ -288,64 +287,37 @@ def alternating_path_difference(m: Matching, m2: Matching) -> SymmetricDifferenc
     its arguments.
     """
     delta = m.edges ^ m2.edges
-    if not delta:
-        return SymmetricDifference("disconnected", ())
-
     adj: dict[int, list[int]] = {}
     for u, v in delta:
         adj.setdefault(u, []).append(v)
         adj.setdefault(v, []).append(u)
-    for nbrs in adj.values():
-        nbrs.sort()
+    seen: set[int] = set()
 
-    components: list[tuple[int, ...]] = []
-    all_paths = True
-    visited: set[int] = set()
-    for start in sorted(adj):
-        if start in visited:
-            continue
-        # Collect the component of `start`.
-        comp: set[int] = set()
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            if x in comp:
-                continue
-            comp.add(x)
-            stack.extend(adj[x])
-        visited |= comp
-        endpoints = sorted(x for x in comp if len(adj[x]) == 1)
-        if endpoints:
-            # A path: walk from the smallest endpoint.
-            seq = _walk_from(adj, endpoints[0])
-        else:
-            # An even cycle: walk from the smallest node toward its
-            # smaller neighbor.
-            all_paths = False
-            seq = _walk_from(adj, min(comp))
-        components.append(seq)
-
-    if len(components) == 1:
-        kind = "single-path" if all_paths else "connected-other"
-    else:
-        kind = "disconnected"
-    return SymmetricDifference(kind, tuple(components))
-
-
-def _walk_from(adj: dict[int, list[int]], start: int) -> tuple[int, ...]:
-    seq = [start]
-    prev = None
-    cur = start
-    while True:
-        nxt = None
-        for cand in adj[cur]:
-            if cand != prev:
-                nxt = cand
+    def walk(start: int) -> tuple[int, ...]:
+        """The component from `start`, first toward its smaller neighbor,
+        up to a path's other end or back round a cycle."""
+        seq, prev, cur = [start], start, min(adj[start])
+        while cur != start:
+            seq.append(cur)
+            nbrs = adj[cur]
+            if len(nbrs) == 1:
                 break
-        if nxt is None or nxt == start:
-            return tuple(seq)
-        seq.append(nxt)
-        prev, cur = cur, nxt
+            prev, cur = cur, nbrs[1] if nbrs[0] == prev else nbrs[0]
+        seen.update(seq)
+        return tuple(seq)
+
+    # A path is walked from its smaller end, met first in ascending order;
+    # every node left over lies on a cycle, met first at its smallest node.
+    paths = [walk(v) for v in sorted(v for v, nbrs in adj.items() if len(nbrs) == 1)
+             if v not in seen]
+    cycles = [walk(v) for v in sorted(adj.keys() - seen) if v not in seen]
+    components = sorted(paths + cycles, key=min)
+
+    if len(components) != 1:
+        kind = "disconnected"
+    else:
+        kind = "connected-other" if cycles else "single-path"
+    return SymmetricDifference(kind, tuple(components))
 
 
 class ParseError(ValueError):

@@ -68,7 +68,8 @@ def _node_ids(ids: Any, n: int) -> list[int]:
     return [v - 1 for v in ids]
 
 
-def _matching_to_json(m: Matching) -> list[list[int]]:
+def matching_to_json(m: Matching) -> list[list[int]]:
+    """A matching's edges as sorted pairs of 1-based ids."""
     return [[u + 1, v + 1] for u, v in m.sorted_edges()]
 
 
@@ -198,7 +199,7 @@ def oracle_table_to_dict(table: OracleTable) -> dict[str, Any]:
         "by_cardinality": [
             {"k": rec.cardinality,
              "min_weight": rational_to_str(rec.min_weight),
-             "witness": _matching_to_json(rec.witness)}
+             "witness": matching_to_json(rec.witness)}
             for rec in table.by_cardinality],
     }
 

@@ -18,10 +18,6 @@ from .graph import Instance, Matching, matching_weight
 
 DEFAULT_NODE_LIMIT = 16
 
-Pair = tuple[int, int]
-# Per cardinality: (scaled weight, witness edges sorted ascending) or None.
-_Entry = tuple[int, tuple[Pair, ...]]
-
 
 class CardinalityRecord(namedtuple("CardinalityRecord", "cardinality min_weight witness")):
     __slots__ = ()
@@ -86,39 +82,51 @@ def min_weight_by_cardinality(inst: Instance,
                 if not mask & bit:
                     levels[decided + 2][skip | bit] = None
 
-    # memo[mask]: entries indexed by cardinality, over the nodes not yet
-    # decided.
-    memo: dict[int, list[_Entry | None]] = {full: [(0, ())]}
+    # memo[mask][k]: the minimum scaled weight of a k-edge matching on
+    # the nodes mask leaves undecided. The cardinalities reachable from a
+    # mask run 0 .. its matching number without a gap, and a match
+    # branch's list is no longer than the skip branch's, so a list only
+    # ever grows at its end.
+    memo: dict[int, list[int]] = {full: [0]}
     for mask in (mask for level in reversed(levels[:n]) for mask in level):
         v = ((mask + 1) & ~mask).bit_length() - 1
         skip = mask | (1 << v)
-        entries: list[_Entry | None] = list(memo[skip])
+        best = list(memo[skip])
         for u, w, bit in neighbors[v]:
             if mask & bit:
                 continue
-            for k, entry in enumerate(memo[skip | bit]):
-                if entry is None:
-                    continue
-                cand: _Entry = (entry[0] + w, ((v, u),) + entry[1])
-                kk = k + 1
-                if kk >= len(entries):
-                    entries.extend([None] * (kk + 1 - len(entries)))
-                cur = entries[kk]
-                if cur is None or cand < cur:
-                    entries[kk] = cand
-        memo[mask] = entries
+            for k, sub in enumerate(memo[skip | bit], 1):
+                cand = sub + w
+                if k == len(best):
+                    best.append(cand)
+                elif cand < best[k]:
+                    best[k] = cand
+        memo[mask] = best
 
-    records: list[CardinalityRecord] = []
-    for k, entry in enumerate(memo[0]):
-        if entry is None:
-            continue
-        scaled, pairs = entry
-        records.append(CardinalityRecord(k, Fraction(scaled, scale),
-                                         Matching.from_pairs(pairs)))
-    # Every cardinality up to nu is achievable (drop edges from a witness),
-    # so the table has no holes.
-    assert [r.cardinality for r in records] == list(range(len(records)))
-    table = OracleTable(tuple(records))
+    def witness(k: int) -> list[tuple[int, int]]:
+        """The first minimum k-edge matching in sorted edge order, read
+        back from mask 0: the lowest undecided node is matched to its
+        smallest free neighbor that keeps the minimum, which sorts before
+        every matching that leaves it unmatched, or else left unmatched."""
+        pairs, mask, target = [], 0, memo[0][k]
+        while k:
+            v = ((mask + 1) & ~mask).bit_length() - 1
+            skip = mask | (1 << v)
+            for u, w, bit in neighbors[v]:
+                if mask & bit:
+                    continue
+                sub = memo[skip | bit]
+                if k - 1 < len(sub) and sub[k - 1] + w == target:
+                    pairs.append((v, u))
+                    mask, k, target = skip | bit, k - 1, target - w
+                    break
+            else:
+                mask = skip
+        return pairs
+
+    table = OracleTable(tuple(
+        CardinalityRecord(k, Fraction(weight, scale), Matching.from_pairs(witness(k)))
+        for k, weight in enumerate(memo[0])))
     for rec in table.by_cardinality:
         assert matching_weight(inst, rec.witness) == rec.min_weight
     return table

@@ -45,11 +45,12 @@ class CompletionRefusedError(ValueError):
 
 class AuxiliaryCompletion(namedtuple("AuxiliaryCompletion",
                                      "aux_instance extended_matching lifted_duals "
-                                     "base_node_count exposed_nodes")):
+                                     "exposed_nodes")):
     """A snapshot completed to a certified perfect matching.
 
-    Helper nodes are appended after the original ones: helper i (0-based)
-    is node base_node_count + i, matched to exposed_nodes[i].
+    Helper nodes are appended after the original ones: for the completed
+    instance `inst`, helper i (0-based) is node inst.node_count + i,
+    matched to exposed_nodes[i].
     """
 
     __slots__ = ()
@@ -57,7 +58,6 @@ class AuxiliaryCompletion(namedtuple("AuxiliaryCompletion",
     aux_instance: Instance
     extended_matching: Matching
     lifted_duals: DualState
-    base_node_count: int
     exposed_nodes: tuple[int, ...]
 
 
@@ -83,7 +83,7 @@ def build_auxiliary_completion(inst: Instance, snapshot: Snapshot) -> AuxiliaryC
     n = inst.node_count
     k = len(exposed)
     if k == 0:
-        return AuxiliaryCompletion(inst, snapshot.matching, dual, n, ())
+        return AuxiliaryCompletion(inst, snapshot.matching, dual, ())
 
     edges = list(inst.edges)
     for i in range(k):
@@ -100,7 +100,7 @@ def build_auxiliary_completion(inst: Instance, snapshot: Snapshot) -> AuxiliaryC
     # smallest one.
     duals = DualState(dual.scale, dual.pi_units + (-pi_star_max,) * k,
                       dual.blossom_units, dual.beta)
-    return AuxiliaryCompletion(aux, extended, duals, n, exposed)
+    return AuxiliaryCompletion(aux, extended, duals, exposed)
 
 
 def check_perfect_certificate(comp: AuxiliaryCompletion) -> Verdict:

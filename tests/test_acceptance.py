@@ -47,9 +47,9 @@ from matchcert.oracle import OracleTable, min_weight_by_cardinality
 from matchcert.reductions import (build_auxiliary_completion,
                                   build_doubled_graph,
                                   check_perfect_certificate)
-from util import (assert_round_trip, minimum_perfect_weight, random_instance,
-                  reference_check_certificate, reference_run_dict,
-                  reference_verify_run, replaced)
+from util import (assert_round_trip, checked_steps, minimum_perfect_weight,
+                  random_instance, reference_check_certificate,
+                  reference_run_dict, reference_verify_run, replaced)
 
 SEED = 20260809
 NONNEGATIVE_COUNT = 205
@@ -71,9 +71,9 @@ class SuiteRecord:
 def _build_record(raw: Instance) -> SuiteRecord:
     normalized, norm = normalize_weights(raw)
     phases = []
-    run = solve(normalized, mode="maximum",
-                on_dual_update=lambda s: phases.append(
-                    (s.frozen_duals(), lift_matching(s))))
+    checked_steps(normalized, observer=lambda s: phases.append(
+        (s.frozen_duals(), lift_matching(s))))
+    run = solve(normalized, mode="maximum")
     table = min_weight_by_cardinality(normalized)
     return SuiteRecord(raw, norm.shift, normalized, table, run, phases)
 

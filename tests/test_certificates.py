@@ -8,10 +8,10 @@ from matchcert.certificates import (CardinalityCertificate,
                                     check_cut_feasibility, cut_loads,
                                     transform_duals, verify_run)
 from matchcert.engine import (STATUS_NO_PERFECT, STATUS_PERFECT, BlossomDual,
-                              DualState, ScriptedPolicy, accumulated_pi, solve)
+                              DualState, accumulated_pi, solve)
 from matchcert.graph import Instance, Matching
 from matchcert.oracle import min_weight_by_cardinality
-from util import edge_load, random_instance, replaced
+from util import checked_steps, edge_load, random_instance, replaced
 
 HALF = Fraction(1, 2)
 ZERO = Fraction(0)
@@ -160,7 +160,7 @@ class TestCutFeasibility:
         rng = random.Random(9)
         for _ in range(15):
             inst = random_instance(rng, max_nodes=8, low=0, high=6)
-            solve(inst, on_dual_update=lambda s, inst=inst: (
+            checked_steps(inst, observer=lambda s, inst=inst: (
                 check_cut_feasibility(inst, s.frozen_duals()).passed or
                 pytest.fail("engine produced infeasible duals")))
 
@@ -340,7 +340,7 @@ class TestVerifyRun:
         assert verify_run(fig2, solve(fig2)).passed
 
     def test_figure2_scripted_fails_at_k4(self, fig2):
-        run = solve(fig2, policy=ScriptedPolicy.single_phase([1, 1, 3]))
+        run = solve(fig2, phases=[[1, 1, 3]])
         verdict = verify_run(fig2, run)
         assert not verdict.passed
         assert [v.constraint for v in verdict.violations] == \

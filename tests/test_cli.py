@@ -586,6 +586,12 @@ class TestScenarioReport:
                       if w > report.oracle_minima[k]]
         assert report.divergence == min(suboptimal)
 
+    def test_bad_amount_reported_as_scripted_error(self, p4):
+        report = compare_dual_policies(p4, ["1/0"])
+        assert report.scripted is None
+        assert report.scripted_error == "zero denominator in '1/0'"
+        assert report.uniform[-1] == (2, 10)
+
 
 def test_module_entry_point(tmp_path):
     path = tmp_path / "p4.dimacs"

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from matchcert.engine import (AlphaResult, EngineState, EngineStateError,
-                              InfeasibleUpdateError, ScriptedPolicy, _Blossom,
+                              InfeasibleUpdateError, _Blossom,
                               _completion, apply_dual_update, compute_alpha,
                               lift_matching, shrink_blossom, solve)
 from matchcert.graph import Instance, Matching, alternating_path_difference
@@ -52,7 +52,7 @@ class TestSolveRuns:
             [(0, 0), (1, 0), (2, 0), (3, 0), (4, 3)]
 
     def test_figure2_scripted(self, fig2):
-        run = solve(fig2, policy=ScriptedPolicy.single_phase([1, 1, 3]))
+        run = solve(fig2, phases=[[1, 1, 3]])
         assert run.final.cardinality == 4
         assert run.final.weight == 4
         # The mis-steered augmentation uses the weight-4 tip edge.
@@ -78,8 +78,14 @@ class TestSolveRuns:
 
     def test_determinism(self, fig2):
         assert solve(fig2) == solve(fig2)
-        policy = ScriptedPolicy.single_phase([1, 1, 3])
-        assert solve(fig2, policy=policy) == solve(fig2, policy=policy)
+        phases = [[1, 1, 3]]
+        assert solve(fig2, phases=phases) == solve(fig2, phases=phases)
+
+    def test_signature_holds_only_the_run_inputs(self, p4):
+        assert list(inspect.signature(solve).parameters) == \
+            ["inst", "mode", "phases", "beta"]
+        # beta is still the fourth positional argument.
+        assert solve(p4, "maximum", (), HALF) == solve(p4, beta=HALF)
 
 
 class TestBeta:
@@ -215,11 +221,11 @@ class TestApplyDualUpdate:
 
     def test_too_many_scripted_amounts(self, fig2):
         with pytest.raises(ValueError):
-            solve(fig2, policy=ScriptedPolicy.single_phase([1, 1, 1, 1]))
+            solve(fig2, phases=[[1, 1, 1, 1]])
 
     def test_missing_trees_get_zero(self, p4):
         # One amount for four trees: the other three duals stay put.
-        run = solve(p4, policy=ScriptedPolicy.single_phase([1]))
+        run = solve(p4, phases=[[1]])
         assert run.status == "perfect-found"
         assert [s.weight for s in run.snapshots] == [0, 1, 10]
 
@@ -352,8 +358,9 @@ class TestEngineInvariantsOnRandomRuns:
         for _ in range(25):
             inst = random_instance(rng, max_nodes=9, low=0, high=8)
             states = []
-            run = solve(inst, on_dual_update=lambda s: states.append(
+            checked_steps(inst, observer=lambda s: states.append(
                 (s.frozen_duals(), lift_matching(s))))
+            run = solve(inst)
             # Matched nodes stay matched from snapshot to snapshot.
             for prev, nxt in zip(run.snapshots, run.snapshots[1:]):
                 assert prev.matching.covered <= nxt.matching.covered
@@ -386,9 +393,9 @@ class TestEngineInvariantsOnRandomRuns:
                 assert 2 * run.final.cardinality == inst.node_count
         assert checked > 0
 
-    def test_on_dual_update_called(self, p4):
+    def test_observer_called_after_each_dual_update(self, p4):
         calls = []
-        solve(p4, on_dual_update=lambda s: calls.append(s.frozen_duals()))
+        checked_steps(p4, observer=lambda s: calls.append(s.frozen_duals()))
         assert calls
         assert calls[0].singleton_pi == (HALF,) * 4
 

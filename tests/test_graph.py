@@ -8,7 +8,16 @@ from matchcert.graph import (Instance, Matching, ParseError,
                              alternating_path_difference, format_instance,
                              matching_weight, normalize_weights, parse_instance,
                              parse_rational)
-from util import naive_min_by_cardinality, random_instance
+from util import (naive_min_by_cardinality, random_instance,
+                  reference_path_difference)
+
+
+def random_matching(rng: random.Random, n: int) -> Matching:
+    """Pairs of a shuffled node order, each kept with probability 0.6."""
+    nodes = list(range(n))
+    rng.shuffle(nodes)
+    return Matching.from_pairs((u, v) for u, v in zip(nodes[::2], nodes[1::2])
+                               if rng.random() < 0.6)
 
 
 class TestParseInstance:
@@ -227,15 +236,22 @@ class TestAlternatingPathDifference:
         rng = random.Random(11)
         for _ in range(50):
             n = rng.randint(2, 9)
-            def rand_matching():
-                pairs = []
-                used = set()
-                nodes = list(range(n))
-                rng.shuffle(nodes)
-                for u, v in zip(nodes[::2], nodes[1::2]):
-                    if rng.random() < 0.6:
-                        pairs.append((u, v))
-                return Matching.from_pairs(pairs)
-            a, b = rand_matching(), rand_matching()
+            a, b = random_matching(rng, n), random_matching(rng, n)
             assert (alternating_path_difference(a, b)
                     == alternating_path_difference(b, a))
+
+    def test_matches_reference(self):
+        rng = random.Random(13)
+        for _ in range(3000):
+            n = rng.randint(2, 16)
+            a, b = random_matching(rng, n), random_matching(rng, n)
+            assert alternating_path_difference(a, b) == reference_path_difference(a, b)
+        for _ in range(100):
+            # One path, or with an even node count one cycle, through
+            # every node in shuffled order.
+            nodes = rng.sample(range(400), rng.randint(2, 400))
+            steps = list(zip(nodes, nodes[1:]))
+            if len(nodes) % 2 == 0 and len(nodes) >= 4 and rng.random() < 0.5:
+                steps.append((nodes[-1], nodes[0]))
+            a, b = Matching.from_pairs(steps[::2]), Matching.from_pairs(steps[1::2])
+            assert alternating_path_difference(a, b) == reference_path_difference(a, b)

@@ -10,7 +10,7 @@ import pytest
 from matchcert.certificates import Verdict, Violation, verify_run
 from matchcert.cli import figure2_instance, main
 from matchcert.engine import (STATUS_NO_PERFECT, BlossomDual, DualState, RunResult,
-                              ScriptedPolicy, Snapshot, solve)
+                              Snapshot, solve)
 from matchcert.graph import Instance, Matching, format_instance, normalize_weights
 from matchcert.oracle import min_weight_by_cardinality
 from matchcert import jsonio
@@ -237,7 +237,7 @@ def test_writer_matches_reference_with_every_payload_key():
 
 
 def test_writer_matches_reference_with_a_failing_verdict(fig2):
-    run = solve(fig2, policy=ScriptedPolicy.single_phase((1, 1, 3)))
+    run = solve(fig2, phases=[(1, 1, 3)])
     verdict = verify_run(fig2, run)
     assert not verdict.passed
     payload = jsonio.run_result_to_dict(run)

@@ -1,6 +1,7 @@
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -63,6 +64,21 @@ def test_long_path_within_a_low_recursion_limit():
     assert proc.stdout.strip() == "150"
 
 
+def test_long_path_memory():
+    # The memo keeps one int per mask and cardinality; a memo that keeps
+    # each entry's witness tuple peaks near 20 MB on this path.
+    inst = Instance.from_edges(400, [(v, v + 1, v % 3) for v in range(399)])
+    inst.scaled_weights  # cached on the instance, outside the measurement
+    tracemalloc.start()
+    try:
+        table = min_weight_by_cardinality(inst, limit=400)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.nu == 200
+    assert peak < 6_000_000
+
+
 def test_fractional_weights():
     inst = Instance.from_edges(4, [(0, 1, "1/3"), (1, 2, "1/6"), (2, 3, "1/2")])
     table = min_weight_by_cardinality(inst)
@@ -82,3 +98,16 @@ def test_against_independent_enumeration():
             assert table.min_weight(k) == weight
             assert table.witness(k).sorted_edges() == witness
             assert matching_weight(inst, table.witness(k)) == weight
+
+
+def test_equal_weights_take_the_first_witness():
+    # Every matching of a cardinality ties, so the witness is decided by
+    # the tie-break alone: the smallest sorted edge tuple.
+    rng = random.Random(103)
+    for _ in range(30):
+        inst = random_instance(rng, max_nodes=8, low=2, high=2)
+        table = min_weight_by_cardinality(inst)
+        reference = naive_min_by_cardinality(inst)
+        assert table.nu == max(reference)
+        for k in range(table.nu + 1):
+            assert (table.min_weight(k), table.witness(k).sorted_edges()) == reference[k]

@@ -15,7 +15,7 @@ import matchcert
 from matchcert import certificates, cli, engine, graph, jsonio, oracle, reductions
 from matchcert.engine import (STATUS_PERFECT, AlphaResult, AlternatingWalk, BlossomDual,
                               CardinalityCertificate, DualState, ForestLabels, RunResult,
-                              ScriptedPolicy, ShrunkenView, Snapshot)
+                              ShrunkenView, Snapshot)
 from matchcert.graph import (Edge, Instance, Matching, NormalizationRecord,
                              SymmetricDifference)
 
@@ -49,7 +49,7 @@ def _samples():
         (Instance, (2, (Edge(0, 1, Fraction(3)),)), {"node_count": 3},
          ("_pair_index", "scaled_weights")),
         (Matching, (frozenset({(0, 1)}),), {"edges": frozenset()}, ("covered",)),
-        (NormalizationRecord, (Fraction(2), inst), {"shift": ZERO}, ()),
+        (NormalizationRecord, (Fraction(2),), {"shift": ZERO}, ()),
         (SymmetricDifference, ("single-path", ((0, 1, 2),)), {"kind": "disconnected"}, ()),
         (BlossomDual, (frozenset({0, 1, 2}), 1), {"pi": 2}, ()),
         (DualState, (2, (1, 1, 1), (blossom,), HALF), {"scale": 4},
@@ -59,17 +59,16 @@ def _samples():
         (Snapshot, (1, Matching(frozenset({(0, 2)})), duals, Fraction(3)),
          {"weight": Fraction(4)}, ("certificate",)),
         (RunResult, ((snap,), STATUS_PERFECT, "maximum", HALF), {"mode": "perfect"}, ()),
-        (ScriptedPolicy, (((Fraction(1), ZERO),),), {"phases": ()}, ()),
         (ShrunkenView, ([0, 0, 0], {0: [(1, 0)]}), {"incident": {}}, ()),
-        (ForestLabels, ({0: "T"}, {}, {0: 0}, (0,)), {"roots": ()}, ()),
+        (ForestLabels, ({0: "T"}, {0: 0}, (0,)), {"roots": ()}, ()),
         (AlternatingWalk, ((0, 1), (0,)), {"edges": (1,)}, ()),
         (AlphaResult, (Fraction(1), ("edge-t-t", (0, 1))), {"alpha": None}, ()),
         (certificates.Violation, ("odd-set", frozenset({0, 1}), 2, "odd"), {"lhs": 3}, ()),
         (certificates.Verdict, ((viol,),), {"violations": ()}, ()),
         (oracle.CardinalityRecord, (1, Fraction(3), m), {"cardinality": 0}, ()),
         (oracle.OracleTable, ((record,),), {"by_cardinality": ()}, ()),
-        (reductions.AuxiliaryCompletion, (inst, m, duals, 2, (1,)),
-         {"base_node_count": 3}, ()),
+        (reductions.AuxiliaryCompletion, (inst, m, duals, (1,)),
+         {"exposed_nodes": ()}, ()),
         (cli.ScenarioReport, (((0, ZERO),), None, "infeasible", (ZERO,), None),
          {"divergence": 0}, ()),
     ]
@@ -85,7 +84,7 @@ def test_every_record_is_sampled():
                if isinstance(obj, type) and issubclass(obj, tuple)
                and obj.__module__.startswith("matchcert.")}
     assert records - {Edge} == {cls for cls, *_ in SAMPLES}
-    assert len(SAMPLES) == 20
+    assert len(SAMPLES) == 19
 
 
 @pytest.mark.parametrize("cls, values, changed, cached", SAMPLES,

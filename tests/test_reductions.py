@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from matchcert.engine import BlossomDual, DualState, ScriptedPolicy, solve
+from matchcert.engine import BlossomDual, DualState, solve
 from matchcert.graph import Instance, Matching, matching_weight
 from matchcert.oracle import min_weight_by_cardinality
 from matchcert.reductions import (CompletionRefusedError,
@@ -98,7 +98,7 @@ class TestAuxiliaryCompletion:
                 if v.constraint == "cs-cut-tight"] == [("cs-cut-tight", odd, 3, 1)]
 
     def test_scripted_snapshot_refused(self, fig2):
-        run = solve(fig2, policy=ScriptedPolicy.single_phase([1, 1, 3]))
+        run = solve(fig2, phases=[[1, 1, 3]])
         with pytest.raises(CompletionRefusedError) as err:
             build_auxiliary_completion(fig2, run.snapshots[4])
         assert err.value.node == 7  # tail node c2 sits below the maximum

@@ -17,13 +17,13 @@ import pytest
 from matchcert.certificates import (Verdict, Violation,
                                     check_cardinality_certificate, verify_run)
 from matchcert.engine import (STATUS_NO_PERFECT, STATUS_PERFECT, BlossomDual,
-                              DualState, ScriptedPolicy, solve)
+                              DualState, solve)
 from matchcert.graph import Instance, Matching
 from util import reference_verify_run, replaced
 
 # The first tree moves by 1/5, which no weight or beta denominator
 # divides, so the run rescales after its first dual update.
-FIFTH = ScriptedPolicy(((Fraction(1, 5),),))
+FIFTH = ((Fraction(1, 5),),)
 
 
 def with_snapshot(run, k, snap):
@@ -61,7 +61,7 @@ if hypothesis is not None:
             (u, v, 1 + Fraction(rng.randint(0, high), rng.choice(denominators)))
             for u in range(n) for v in range(u + 1, n) if rng.random() < density])
         run = solve(inst, mode=draw(st.sampled_from(("maximum", "perfect"))),
-                    policy=draw(st.sampled_from((None, FIFTH))),
+                    phases=draw(st.sampled_from(((), FIFTH))),
                     beta=draw(st.sampled_from((0, Fraction(1, 7)))))
         return inst, run
 

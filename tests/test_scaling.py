@@ -16,18 +16,19 @@ import pytest
 from matchcert import jsonio
 from matchcert.certificates import verify_run
 from matchcert.engine import (EngineState, InfeasibleUpdateError,
-                              ScriptedPolicy, accumulated_pi, apply_dual_update,
-                              compute_alpha, solve)
+                              accumulated_pi, apply_dual_update, compute_alpha,
+                              solve)
 from matchcert.graph import Instance
 from matchcert.oracle import min_weight_by_cardinality
 
-from util import assert_round_trip, reference_run_dict, reference_verify_run
+from util import (assert_round_trip, checked_steps, reference_run_dict,
+                  reference_verify_run)
 
 SEED = 20261018
 COUNT = 120
 BETA = Fraction(1, 7)
 # The first tree moves by 1/5, which no weight or beta denominator divides.
-FIFTH = ScriptedPolicy(((Fraction(1, 5),),))
+FIFTH = ((Fraction(1, 5),),)
 # sha256 over the snapshot JSON of every corpus run, in corpus order.
 GOLDEN_DIGEST = "2a629faa47782e6bb4a7115c97a6c97be40d0dc18555ee05fa0e8a7e995a4828"
 
@@ -44,8 +45,8 @@ def corpus():
 
 
 def corpus_run(i: int, inst: Instance):
-    policy = None if i % 3 == 0 else FIFTH
-    return solve(inst, mode=("maximum", "perfect")[i % 2], policy=policy, beta=BETA)
+    phases = () if i % 3 == 0 else FIFTH
+    return solve(inst, mode=("maximum", "perfect")[i % 2], phases=phases, beta=BETA)
 
 
 def test_snapshot_json_matches_golden_digest():
@@ -109,8 +110,8 @@ def test_accumulated_duals_kept_current():
         assert [Fraction(p, state._scale) for p in state._pi_star] == expected
 
     for i, inst in corpus():
-        solve(inst, policy=None if i % 3 == 0 else FIFTH, beta=BETA,
-              on_dual_update=check)
+        checked_steps(inst, phases=() if i % 3 == 0 else FIFTH, beta=BETA,
+                      observer=check)
 
 
 class TestBoundaryValues:

@@ -14,13 +14,14 @@ from math import lcm
 
 from matchcert.certificates import (Verdict, Violation, _family_violations,
                                     non_edge_violations, verify_run)
-from matchcert.engine import (STATUS_PERFECT, BlossomDual,
+from matchcert.engine import (STATUS_NO_PERFECT, STATUS_PERFECT, BlossomDual,
                               CardinalityCertificate, DualState, EngineState,
-                              RunResult, ScriptedPolicy, ShrunkenView,
-                              apply_dual_update, compute_alpha, lift_matching,
-                              shrink_blossom, solve)
-from matchcert.graph import (Instance, Matching, alternating_path_difference,
-                             matching_weight, normalize_weights)
+                              RunResult, ShrunkenView, apply_dual_update,
+                              compute_alpha, lift_matching, shrink_blossom,
+                              solve)
+from matchcert.graph import (Instance, Matching, SymmetricDifference,
+                             alternating_path_difference, matching_weight,
+                             normalize_weights)
 from matchcert.jsonio import (dumps, rational_to_str, run_result_from_dict,
                               run_result_to_dict)
 
@@ -171,54 +172,119 @@ def reference_mates(state: EngineState) -> dict[int, tuple[int, int]]:
     return mates
 
 
-def checked_steps(inst: Instance, phases=(), beta=0) -> dict[str, int]:
-    """Replay `solve(inst, beta=beta)` step by step, the first dual updates
-    by the per-tree amounts of `phases`, and check after every augment,
-    shrink and dual update that the engine's view equals
-    `reference_view` in the order `assert_view_form` checks, that the
-    previous view still equals a deep copy taken before the step (no
-    list it may share with the new one was changed), and that its mate
-    map equals `reference_mates`; after an augment the view must be the
-    very same object. Returns the step counts; the final matching must
-    equal solve's."""
+def checked_steps(inst: Instance, phases=(), beta=0, observer=None) -> dict[str, int]:
+    """Replay `solve(inst, phases=phases, beta=beta)` step by step, and
+    check after every augment, shrink and dual update that the engine's
+    view equals `reference_view` in the order `assert_view_form` checks,
+    that the previous view still equals a deep copy taken before the step
+    (no list it may share with the new one was changed), and that its
+    mate map equals `reference_mates`; after an augment the view must be
+    the very same object. `observer`, when given, is called with the live
+    engine state after every applied dual update. The replayed snapshots
+    and status must equal solve's run; returns the step counts."""
     state = EngineState(inst, beta)
     assert state.shrunken_view() == reference_view(state)
     assert_view_form(state.shrunken_view())
     assert state.mates == reference_mates(state)
-    script = tuple(tuple(Fraction(a) for a in phase) for phase in phases)
-    phases = list(script)
+    snapshots = [state.snapshot()]
+    script = list(phases)
     counts = dict.fromkeys(("augment", "shrink", "dual_update", "expansion",
                             "rescale"), 0)
+    status = STATUS_PERFECT
     while state.exposed_view_keys():
         before = state.shrunken_view()
         frozen = copy.deepcopy(before)
         walk = state.grow_forest()
         if walk is not None and walk.is_path():
             state.augment(walk)
+            snapshots.append(state.snapshot())
             assert state.shrunken_view() is before
             counts["augment"] += 1
         elif walk is not None:
             shrink_blossom(state, walk)
             counts["shrink"] += 1
         else:
-            if phases:
-                amounts = dict(zip(state.forest_labels().roots, phases.pop(0)))
+            if script:
+                amounts = dict(zip(state.forest_labels().roots, script.pop(0)))
             else:
                 amounts = compute_alpha(state).alpha
                 if amounts is None:
+                    status = STATUS_NO_PERFECT
                     break
             scale, blossoms = state._scale, set(state.blossoms)
             apply_dual_update(state, amounts)
             counts["dual_update"] += 1
             counts["expansion"] += len(blossoms - set(state.blossoms))
             counts["rescale"] += state._scale != scale
+            if observer is not None:
+                observer(state)
         assert state.shrunken_view() == reference_view(state)
         assert_view_form(state.shrunken_view())
         assert before == frozen
         assert state.mates == reference_mates(state)
-    policy = ScriptedPolicy(tuple(script)) if script else None
-    assert lift_matching(state) == solve(inst, policy=policy, beta=beta).final.matching
+    replay = RunResult(tuple(snapshots), status, "maximum", state.beta)
+    assert replay == solve(inst, phases=phases, beta=beta)
     return counts
+
+
+def reference_path_difference(m: Matching, m2: Matching) -> SymmetricDifference:
+    """`alternating_path_difference` one component at a time: collect the
+    component of each unvisited node in ascending order, then walk it from
+    its smallest endpoint (a path) or its smallest node (a cycle), each
+    step to the smallest neighbor not just left. The reference that the
+    one walk per component must equal."""
+    delta = m.edges ^ m2.edges
+    if not delta:
+        return SymmetricDifference("disconnected", ())
+
+    adj: dict[int, list[int]] = {}
+    for u, v in delta:
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    for nbrs in adj.values():
+        nbrs.sort()
+
+    def walk_from(start: int) -> tuple[int, ...]:
+        seq, prev, cur = [start], None, start
+        while True:
+            nxt = None
+            for cand in adj[cur]:
+                if cand != prev:
+                    nxt = cand
+                    break
+            if nxt is None or nxt == start:
+                return tuple(seq)
+            seq.append(nxt)
+            prev, cur = cur, nxt
+
+    components: list[tuple[int, ...]] = []
+    all_paths = True
+    visited: set[int] = set()
+    for start in sorted(adj):
+        if start in visited:
+            continue
+        comp: set[int] = set()
+        stack = [start]
+        while stack:
+            x = stack.pop()
+            if x in comp:
+                continue
+            comp.add(x)
+            stack.extend(adj[x])
+        visited |= comp
+        endpoints = sorted(x for x in comp if len(adj[x]) == 1)
+        if endpoints:
+            seq = walk_from(endpoints[0])
+        else:
+            all_paths = False
+            seq = walk_from(min(comp))
+        components.append(seq)
+
+    if len(components) == 1:
+        kind = "single-path" if all_paths else "connected-other"
+    else:
+        kind = "disconnected"
+    return SymmetricDifference(kind, tuple(components))
 
 
 def reference_run_dict(run: RunResult) -> dict:
