@@ -21,16 +21,19 @@ normalized first) and checks every claim exactly, in rational arithmetic:
      instance's minimum matching weight over all cardinalities;
   9. with integer weights, every dual value is a multiple of 1/2.
 
-A golden digest of all snapshot JSON guards the output byte for byte.
+A golden digest of all snapshot JSON guards the output byte for byte, and
+another guards `reduce --auxiliary` on every snapshot of every run.
 
 Each test prints one PASS line with its coverage counts (visible with
 pytest -s; the -v test line carries the same verdict).
 """
 
 import hashlib
+import io
 import json
 import random
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -39,10 +42,10 @@ import pytest
 from matchcert import jsonio
 from matchcert.certificates import (check_cardinality_certificate,
                                     transform_duals, verify_run)
-from matchcert.cli import compare_dual_policies, figure2_instance
+from matchcert.cli import compare_dual_policies, figure2_instance, main
 from matchcert.engine import RunResult, accumulated_pi, lift_matching, solve
 from matchcert.graph import (Instance, Matching, alternating_path_difference,
-                             matching_weight, normalize_weights)
+                             format_instance, matching_weight, normalize_weights)
 from matchcert.oracle import OracleTable, min_weight_by_cardinality
 from matchcert.reductions import (build_auxiliary_completion,
                                   build_doubled_graph,
@@ -56,6 +59,9 @@ NONNEGATIVE_COUNT = 205
 NEGATIVE_COUNT = 55
 # sha256 over the snapshot JSON of every corpus run, in corpus order.
 GOLDEN_DIGEST = "4ac8ab7c2f7ed562c3175b0b1253cf55303a7c1dc8dbe7f8ff9138c253d478a3"
+# sha256 over `reduce --auxiliary` stdout for every snapshot of every
+# corpus run, in corpus and cardinality order.
+GOLDEN_AUXILIARY_DIGEST = "a982d460061f950e4108b498c4f9f84aef97fd455dbf31449a1d17f16594576d"
 
 
 @dataclass
@@ -255,6 +261,31 @@ def test_snapshot_json_matches_golden_digest(suite):
     assert digest.hexdigest() == GOLDEN_DIGEST, \
         "snapshot JSON of the acceptance corpus changed"
     report("golden output", f"{len(suite)} runs byte-identical")
+
+
+def test_auxiliary_output_matches_golden_digest(suite, tmp_path):
+    """`reduce --auxiliary` on each snapshot, reading the raw instance and
+    the snapshots file `solve --snapshots` writes for it."""
+    digest = hashlib.sha256()
+    inst_path, run_path = tmp_path / "instance.dimacs", tmp_path / "run.json"
+    calls = 0
+    for rec in suite:
+        payload = jsonio.run_result_to_dict(rec.run)
+        if rec.shift:
+            payload["normalization"] = {"shift": jsonio.rational_to_str(rec.shift)}
+        inst_path.write_text(format_instance(rec.raw))
+        run_path.write_text(jsonio.dumps(payload))
+        for snap in rec.run.snapshots:
+            out = io.StringIO()
+            with redirect_stdout(out), redirect_stderr(io.StringIO()):
+                code = main(["reduce", str(inst_path),
+                             "--auxiliary", f"{run_path}:{snap.cardinality}"])
+            assert code == 0
+            digest.update(out.getvalue().encode())
+            calls += 1
+    assert digest.hexdigest() == GOLDEN_AUXILIARY_DIGEST, \
+        "reduce --auxiliary output of the acceptance corpus changed"
+    report("golden auxiliary output", f"{calls} completions byte-identical")
 
 
 def test_snapshot_json_matches_reference_builder(suite):
