@@ -3,7 +3,7 @@
 A primal-dual blossom solver that records every intermediate matching it
 constructs, together with a dual certificate proving the matching has
 minimum weight among all matchings of the same cardinality. Exact rational
-arithmetic throughout; an exhaustive oracle and two independent
+arithmetic throughout; an exhaustive oracle and two distinct
 certificate routes keep every claim checkable at desk scale.
 """
 

@@ -12,18 +12,23 @@ whose dual constrains, for every edge e = {u, v},
     y <= 0,  z <= 0.
 
 The builder (`engine.transform_duals`, cached as `Snapshot.certificate`)
-is re-exported here; the checkers share no arithmetic with it. Dual
+is re-exported here; the checker shares no arithmetic with it. Dual
 feasibility plus complementary slackness against a matching of size k
 proves, by weak LP duality, that it is minimum-weight among those. The
 checks compare ints at the lcm of the duals' and weights' scales
 (`Instance.scaled_weights`) and report violations as Fractions in
 original units; a run's checker recomputes only changed edges.
+
+This is the package's one feasibility checker: the auxiliary perfect
+completion (`reductions.check_perfect_certificate`) is checked by it too,
+on the completion's own graph, matching and certificate.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict, namedtuple
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain, compress, count
 from math import lcm
 from operator import ne
@@ -31,8 +36,8 @@ from typing import Iterable
 
 # CardinalityCertificate and transform_duals are re-exported: callers
 # import the builder from here, beside its checker.
-from .engine import (STATUS_PERFECT, CardinalityCertificate, DualState,
-                     RunResult, transform_duals)
+from .engine import (STATUS_PERFECT, CardinalityCertificate, RunResult,
+                     transform_duals)
 from .graph import Instance, Matching, alternating_path_difference
 
 ZERO = Fraction(0)
@@ -89,57 +94,6 @@ def non_edge_violations(inst: Instance, m: Matching) -> list[Violation]:
             for pair in sorted(p for p in m.edges if not inst.has_edge(*p))]
 
 
-def cut_loads(inst: Instance, dual: DualState) -> tuple[int, list[int], list[int]]:
-    """(scale, weights, loads): every edge's weight and cut-form dual load
-    as ints in units of 1/scale, in edge order.
-
-    scale is the lcm of the instance's weight scale and the duals' scale.
-    An edge's load is the sum of the duals of the sets that hold exactly
-    one of its ends: both singletons, plus every blossom with nonzero pi
-    that separates them.
-    """
-    weight_scale, weights = inst.scaled_weights
-    scale = lcm(weight_scale, dual.scale)
-    factor = scale // dual.scale
-    pi = dual.pi_units if factor == 1 else [p * factor for p in dual.pi_units]
-    separating = [(b.nodes, b.pi * factor) for b in dual.blossom_units if b.pi]
-    loads = []
-    for u, v, _ in inst.edges:
-        load = pi[u] + pi[v]
-        for nodes, p in separating:
-            if (u in nodes) != (v in nodes):
-                load += p
-        loads.append(load)
-    factor = scale // weight_scale
-    return scale, [w * factor for w in weights], loads
-
-
-def cut_violations(inst: Instance, dual: DualState,
-                   scale: int, weights: list[int], loads: list[int]) -> list[Violation]:
-    """The cut-form feasibility violations, given `cut_loads(inst, dual)`."""
-    violations = _family_violations(b.nodes for b in dual.blossom_units)
-    for b in dual.blossom_units:
-        if b.pi < 0:
-            violations.append(Violation("blossom-nonneg", b.nodes,
-                                        Fraction(b.pi, dual.scale), ZERO))
-    for e, w, load in zip(inst.edges, weights, loads):
-        if load > w:
-            violations.append(
-                Violation("edge-load", (e.u, e.v), Fraction(load, scale), e.weight))
-    return violations
-
-
-def check_cut_feasibility(inst: Instance, dual: DualState) -> Verdict:
-    """Check the cut-form dual constraints exactly.
-
-    The blossoms must form a laminar family of odd sets, blossom duals
-    must be nonnegative, and for every edge the summed dual load over sets
-    cut by the edge must not exceed the edge weight. Loads are compared
-    on ints (`cut_loads`) and reported in original units.
-    """
-    return Verdict(tuple(cut_violations(inst, dual, *cut_loads(inst, dual))))
-
-
 class _RunChecker:
     """`check_cardinality_certificate` on a run's snapshots, in order. It keeps
     the last matching, weight, scale, y, gamma, value per distinct z set and
@@ -148,12 +102,25 @@ class _RunChecker:
     only edges at a node whose y_v + gamma/2 moved or in a z set that moved."""
 
     def __init__(self, inst: Instance):
-        self.inst, self.incident, self.below = inst, defaultdict(list), defaultdict(list)
-        for i, (u, v, _) in enumerate(inst.edges):
-            self.incident[u].append(i)
-            self.incident[v].append(i)
-            self.below[u].append((i, v))  # edges by lower end
+        self.inst = inst
         self.pairs, self.weight_units, self.scale, self.y = frozenset(), 0, None, ()
+
+    # The incidence maps are built on first use: a check of one snapshot
+    # rechecks every edge and needs neither unless it has z sets.
+    @cached_property
+    def incident(self) -> defaultdict[int, list[int]]:
+        incident = defaultdict(list)
+        for i, (u, v, _) in enumerate(self.inst.edges):
+            incident[u].append(i)
+            incident[v].append(i)
+        return incident
+
+    @cached_property
+    def below(self) -> defaultdict[int, list[tuple[int, int]]]:
+        below = defaultdict(list)  # (edge, upper end) by lower end
+        for i, (u, v, _) in enumerate(self.inst.edges):
+            below[u].append((i, v))
+        return below
 
     def check(self, m: Matching, cert: CardinalityCertificate) -> list[Violation]:
         inst, edges = self.inst, self.inst.edges
@@ -184,12 +151,12 @@ class _RunChecker:
             self.w = [w * (scale // weight_scale) for w in weights]
             self.scale, self.zmap, self.above = cert.scale, {}, set()
             self.zin, self.lhs = [0] * len(edges), [0] * len(edges)
-            recheck, moved = set(range(len(edges))), ()
+            recheck = set(range(len(edges)))
         else:  # a potential stays put when y moves by -(change of gamma)/2
             shift, odd = divmod(self.gamma - gamma, 2)
-            recheck, moved = set(), range(len(y)) if odd else \
+            moved = range(len(y)) if odd else \
                 compress(count(), map(ne, y, map(shift.__add__, self.y)))
-        recheck.update(chain.from_iterable(map(self.incident.__getitem__, moved)))
+            recheck = set(chain.from_iterable(map(self.incident.__getitem__, moved)))
         zin, old = self.zin, self.zmap
         for nodes in {nodes for nodes, _ in zmap.items() ^ old.items()}:
             delta = zmap.get(nodes, 0) - old.get(nodes, 0)

@@ -920,7 +920,8 @@ def solve(inst: Instance,
     scripted = list(phases)
 
     steps = 0
-    step_limit = 200 + 50 * (inst.node_count + len(inst.edges))
+    # Each scripted phase spends a step of its own, even one of zeros.
+    step_limit = 200 + 50 * (inst.node_count + len(inst.edges)) + len(scripted)
     while True:
         steps += 1
         if steps > step_limit:

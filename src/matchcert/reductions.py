@@ -5,8 +5,9 @@ The auxiliary completion attaches one fresh node per exposed node of a
 snapshot, joined to every original node by weight-0 edges. The snapshot's
 matching extends to a perfect matching of the same weight, and the frozen
 duals extend to dual values that certify it as a minimum-weight perfect
-matching. This re-proves the snapshot cardinality-optimal by a different
-route than the cardinality certificate.
+matching. This re-proves the snapshot cardinality-optimal on a different
+graph, matching and duals than its cardinality certificate, with the same
+checker (see `check_perfect_certificate`).
 
 The doubled graph joins a mirror copy of the instance along weight-0
 bridge edges; its minimum perfect-matching weight is exactly twice the
@@ -18,8 +19,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .certificates import (Verdict, Violation, cut_loads, cut_violations,
-                           non_edge_violations)
+from .certificates import Verdict, check_cardinality_certificate, transform_duals
 from .engine import DualState, Snapshot, accumulated_pi
 from .graph import Edge, Instance, Matching
 
@@ -106,44 +106,23 @@ def build_auxiliary_completion(inst: Instance, snapshot: Snapshot) -> AuxiliaryC
 def check_perfect_certificate(comp: AuxiliaryCompletion) -> Verdict:
     """Check that the completion's duals certify its perfect matching.
 
-    Exact checks: the matching is perfect; every matched pair is an edge
-    of the extended graph; the cut-form dual constraints hold
-    (check_cut_feasibility); every matched edge is tight, read from the
-    same int loads (`cut_loads`); and every blossom with positive dual is
-    left by exactly one matching edge. A pass certifies the extended
-    matching is a minimum-weight perfect matching of the extended graph.
+    Raises ValueError unless the matching is perfect; then runs the
+    cardinality checker on the completion's own certificate. For a perfect
+    matching the two dual forms state the same conditions: with
+    y = pi* - t and gamma = 2t, an edge's left-hand side equals its
+    cut-form load for any t, so F1 is the load bound (`edge-feasibility`)
+    and CS1 its tightness; z <= 0 is pi >= 0 (`z-nonpositive`, value
+    -2 pi); and a blossom holds (|U|-1)/2 matching edges exactly when one
+    leaves it (`cs-blossom-full`). No node is exposed, so CS2 is vacuous.
+    A pass certifies the extended matching is a minimum-weight perfect
+    matching of the extended graph.
     """
-    inst = comp.aux_instance
-    m = comp.extended_matching
-    dual = comp.lifted_duals
+    inst, m = comp.aux_instance, comp.extended_matching
     if not m.is_perfect_on(inst):
         raise ValueError(
             f"extended matching covers {2 * len(m)} of {inst.node_count} nodes; "
             "a perfect matching is required")
-
-    scale, weights, loads = cut_loads(inst, dual)
-    violations = cut_violations(inst, dual, scale, weights, loads)
-    matched_edges = 0
-    for e, w, load in zip(inst.edges, weights, loads):
-        if (e.u, e.v) in m:
-            matched_edges += 1
-            # A load above the weight is already an edge-load violation.
-            if load < w:
-                violations.append(
-                    Violation("cs-matched-edge-tight", (e.u, e.v),
-                              Fraction(load, scale), e.weight))
-    # The scan meets every matched pair that is an edge; only when it
-    # missed one is the extended graph's pair index worth building.
-    if matched_edges != len(m):
-        violations += non_edge_violations(inst, m)
-
-    for b in dual.blossom_units:
-        if b.pi > 0:
-            leaving = sum(1 for u, v in m.edges if (u in b.nodes) != (v in b.nodes))
-            if leaving != 1:
-                violations.append(Violation("cs-cut-tight", b.nodes, leaving, 1))
-
-    return Verdict(tuple(violations))
+    return check_cardinality_certificate(inst, m, transform_duals(comp.lifted_duals, len(m)))
 
 
 def build_doubled_graph(inst: Instance) -> Instance:

@@ -5,12 +5,13 @@ import pytest
 
 from matchcert.certificates import (CardinalityCertificate,
                                     check_cardinality_certificate,
-                                    check_cut_feasibility, cut_loads,
                                     transform_duals, verify_run)
 from matchcert.engine import (STATUS_NO_PERFECT, STATUS_PERFECT, BlossomDual,
-                              DualState, accumulated_pi, solve)
+                              DualState, accumulated_pi, lift_matching, solve)
 from matchcert.graph import Instance, Matching
 from matchcert.oracle import min_weight_by_cardinality
+from matchcert.reductions import (AuxiliaryCompletion, build_auxiliary_completion,
+                                  check_perfect_certificate)
 from util import checked_steps, edge_load, random_instance, replaced
 
 HALF = Fraction(1, 2)
@@ -45,6 +46,17 @@ def random_laminar_duals(rng: random.Random, n: int,
     pis = [Fraction(rng.randint(low, 6), rng.choice([1, 2])) for _ in blossoms]
     return DualState.from_fractions(tuple(singles),
                                     tuple(BlossomDual(b, p) for b, p in zip(blossoms, pis)))
+
+
+def perfect_check(inst: Instance, pairs, dual: DualState):
+    """The cut-form check of a perfect matching: `check_perfect_certificate`
+    on a completion with no helper nodes."""
+    return check_perfect_certificate(
+        AuxiliaryCompletion(inst, Matching.from_pairs(pairs), dual, ()))
+
+
+def constraints(verdict) -> list[str]:
+    return [v.constraint for v in verdict.violations]
 
 
 def accumulate(dual: DualState) -> list[Fraction]:
@@ -140,33 +152,53 @@ class TestTransformDuals:
 
 
 class TestCutFeasibility:
+    """The cut-form constraints on a perfect matching (load at most the
+    weight, nonnegative blossom duals), checked by the one checker."""
+
     def test_zero_duals_pass(self, p4):
-        assert check_cut_feasibility(p4, duals([0] * 4)).passed
+        # p4's k=0 snapshot has zero duals; its completion matches every
+        # node to a helper at weight 0.
+        comp = build_auxiliary_completion(p4, solve(p4).snapshots[0])
+        assert comp.lifted_duals.singleton_pi == (0,) * 8
+        assert check_perfect_certificate(comp).passed
 
     def test_overloaded_edge(self):
         inst = Instance.from_edges(2, [(0, 1, 1)])
-        verdict = check_cut_feasibility(inst, duals([2, 0]))
-        assert not verdict.passed
-        viol = verdict.violations[0]
-        assert viol.constraint == "edge-load"
-        assert (viol.lhs, viol.rhs) == (2, 1)
+        verdict = perfect_check(inst, [(0, 1)], duals([2, 0]))
+        assert [(v.constraint, v.witness, v.lhs, v.rhs) for v in verdict.violations] \
+            == [("edge-feasibility", (0, 1), 2, 1)]
 
     def test_negative_blossom_dual(self):
-        inst = Instance.from_edges(3, [(0, 1, 5)])
-        verdict = check_cut_feasibility(inst, duals([0, 0, 0], [({0, 1, 2}, -1)]))
-        assert [v.constraint for v in verdict.violations] == ["blossom-nonneg"]
+        # Both matched edges tight; the blossom's dual -1 is z = 2.
+        inst = Instance.from_edges(4, [(0, 1, 0), (2, 3, 0)])
+        verdict = perfect_check(inst, [(0, 1), (2, 3)],
+                                duals([0, 0, 0, 1], [({0, 1, 2}, -1)]))
+        assert [(v.constraint, v.witness, v.lhs, v.rhs) for v in verdict.violations] \
+            == [("z-nonpositive", frozenset({0, 1, 2}), 2, 0)]
 
     def test_engine_states_always_feasible(self):
+        # After every uniform dual update, the frozen duals certify the
+        # lifted matching at its cardinality: F1 and complementary
+        # slackness.
         rng = random.Random(9)
+        checked = []
+
+        def certified(inst, state):
+            m = lift_matching(state)
+            verdict = check_cardinality_certificate(
+                inst, m, transform_duals(state.frozen_duals(), len(m)))
+            assert verdict.passed, verdict.violations
+            checked.append(m)
+
         for _ in range(15):
             inst = random_instance(rng, max_nodes=8, low=0, high=6)
-            checked_steps(inst, observer=lambda s, inst=inst: (
-                check_cut_feasibility(inst, s.frozen_duals()).passed or
-                pytest.fail("engine produced infeasible duals")))
+            checked_steps(inst, observer=lambda s, inst=inst: certified(inst, s))
+        assert checked
 
 
 class TestCutLoadsOnInts:
-    """The int loads and verdict equal the Fraction definition."""
+    """The checker's int left-hand sides and verdict equal the cut-form
+    loads of the Fraction definition."""
 
     DENOMINATORS = (1, 2, 3, 7)
 
@@ -190,15 +222,23 @@ class TestCutLoadsOnInts:
         for _ in range(60):
             inst, dual = self.random_case(rng)
             zero_pi += sum(b.pi == 0 for b in dual.blossoms)
-            scale, weights, loads = cut_loads(inst, dual)
-            assert [Fraction(w, scale) for w in weights] == [e.weight for e in inst.edges]
-            assert [Fraction(l, scale) for l in loads] == \
-                [edge_load(dual, e.u, e.v) for e in inst.edges]
-            expected = [("edge-load", (e.u, e.v), edge_load(dual, e.u, e.v), e.weight)
+            weight_scale, weights = inst.scaled_weights
+            assert [Fraction(w, weight_scale) for w in weights] == \
+                [e.weight for e in inst.edges]
+            # Matched alone, an edge shows its left-hand side: as an F1 or
+            # CS1 violation, or as its weight when tight.
+            cert = transform_duals(dual, 1)
+            for u, v, weight in inst.edges:
+                verdict = check_cardinality_certificate(
+                    inst, Matching.from_pairs([(u, v)]), cert)
+                lhs = [x.lhs for x in verdict.violations if x.witness == (u, v)]
+                assert (lhs or [weight]) == [edge_load(dual, u, v)]
+            expected = [("edge-feasibility", (e.u, e.v), edge_load(dual, e.u, e.v), e.weight)
                         for e in inst.edges if edge_load(dual, e.u, e.v) > e.weight]
-            verdict = check_cut_feasibility(inst, dual)
-            assert [(v.constraint, v.witness, v.lhs, v.rhs)
-                    for v in verdict.violations] == expected
+            verdict = check_cardinality_certificate(inst, Matching.empty(),
+                                                    transform_duals(dual, 0))
+            assert [(v.constraint, v.witness, v.lhs, v.rhs) for v in verdict.violations
+                    if v.constraint == "edge-feasibility"] == expected
             overloaded += len(expected)
         assert overloaded > 0 and zero_pi > 0
 
@@ -269,14 +309,17 @@ class TestCardinalityCertificate:
 
 class TestFamilyChecks:
     # The LP constraint x(E[U]) <= (|U|-1)/2 is valid only for odd U, and
-    # both checkers require the family to be laminar.
+    # the checker requires the family to be laminar, on both certificate
+    # routes: a snapshot's certificate and a perfect completion's duals.
     def test_even_set_rejected_by_both_checkers(self):
         # The {1,2} "blossom" would certify the weight-10 edge {3,4} at
-        # k=1, where the optimum is the weight-0 edge {1,2}.
+        # k=1, where the optimum is the weight-0 edge {1,2}. On the perfect
+        # matching both edges are tight; the even set also holds one edge,
+        # not (2-1)//2 = 0.
         inst = Instance.from_edges(4, [(0, 1, 0), (2, 3, 10)])
         dual = duals([0, 0, 5, 5], [({0, 1}, 5)])
-        assert [v.constraint for v in check_cut_feasibility(inst, dual).violations] \
-            == ["odd-set"]
+        assert constraints(perfect_check(inst, [(0, 1), (2, 3)], dual)) \
+            == ["odd-set", "cs-blossom-full"]
         cert = transform_duals(dual, 1)
         verdict = check_cardinality_certificate(
             inst, Matching.from_pairs([(2, 3)]), cert)
@@ -290,21 +333,24 @@ class TestFamilyChecks:
         [{0, 1, 2}, {0, 1, 2, 3, 4}, {3, 4, 5, 6, 7}],
     ])
     def test_crossing_sets_rejected(self, sets):
-        inst = Instance.from_edges(8, [(0, 1, 9)])
+        pairs = [(0, 1), (2, 3), (4, 5), (6, 7)]
+        inst = Instance.from_edges(8, [(u, v, 9) for u, v in pairs])
         dual = duals([0] * 8, [(nodes, 1) for nodes in sets])
-        constraints = [v.constraint for v in check_cut_feasibility(inst, dual).violations]
-        assert constraints == ["laminar-family"]
+        family = {"odd-set", "laminar-family"}
+        verdict = perfect_check(inst, pairs, dual)
+        assert [c for c in constraints(verdict) if c in family] == ["laminar-family"]
         cert = transform_duals(dual, 0)
         verdict = check_cardinality_certificate(inst, Matching.empty(), cert)
-        assert "laminar-family" in [v.constraint for v in verdict.violations]
+        assert [c for c in constraints(verdict) if c in family] == ["laminar-family"]
 
     def test_nested_and_disjoint_sets_pass(self):
         n = 41
         chain = [set(range(size)) for size in range(1, n + 1, 2)]
         disjoint = [{41, 42, 43}, {44, 45, 46}, {44, 45, 46, 47, 48}]
-        inst = Instance.from_edges(49, [(0, 1, 0)])
-        dual = duals([0] * 49, [(nodes, 0) for nodes in chain[::-1] + disjoint])
-        assert check_cut_feasibility(inst, dual).passed
+        pairs = [(v, v + 1) for v in range(0, 50, 2)]
+        inst = Instance.from_edges(50, [(u, v, 0) for u, v in pairs])
+        dual = duals([0] * 50, [(nodes, 0) for nodes in chain[::-1] + disjoint])
+        assert perfect_check(inst, pairs, dual).passed
         cert = transform_duals(dual, 0)
         assert check_cardinality_certificate(inst, Matching.empty(), cert).passed
 

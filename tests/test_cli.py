@@ -107,6 +107,15 @@ class TestSolveCommand:
         data = json.loads(out)
         assert data["snapshots"][-1]["weight"] == "4"
 
+    def test_long_zero_script_runs_to_the_end(self, capsys, tmp_path, p4_file):
+        # Each of the 1,200 phases spends a solver step; zero amounts leave
+        # the run the uniform one.
+        amounts = tmp_path / "zeros.txt"
+        amounts.write_text("0\n" * 1200)
+        code, out, _ = run_cli(capsys, "solve", p4_file, "--policy", f"scripted={amounts}")
+        assert code == 0
+        assert out == run_cli(capsys, "solve", p4_file)[1]
+
     def test_infeasible_scripted_amount_names_edge_ends(self, capsys, tmp_path, p4_file):
         amounts = tmp_path / "amounts.txt"
         amounts.write_text("100\n")
@@ -551,6 +560,20 @@ class TestReduceCommand:
         violations = json.loads(out)["check"]["violations"]
         assert [(v["constraint"], v["witness"]) for v in violations] == \
             [("matching-edge", [1, 3])]
+
+    def test_auxiliary_overloaded_edge_fails(self, capsys, tmp_path, p4_file):
+        # Raising node 2's dual at the perfect snapshot overloads both of
+        # its edges; the witnesses are 1-based.
+        run_path = tmp_path / "run.json"
+        run_cli(capsys, "solve", p4_file, "--snapshots", str(run_path))
+        data = json.loads(run_path.read_text())
+        data["snapshots"][2]["duals"]["singletons"]["2"] = "3/2"
+        run_path.write_text(json.dumps(data))
+        code, out, _ = run_cli(capsys, "reduce", p4_file, "--auxiliary", f"{run_path}:2")
+        assert code == 2
+        violations = json.loads(out)["check"]["violations"]
+        assert [(v["constraint"], v["witness"], v["lhs"], v["rhs"]) for v in violations] == \
+            [("edge-feasibility", [1, 2], "6", "5"), ("edge-feasibility", [2, 3], "2", "1")]
 
     def test_auxiliary_missing_snapshot(self, capsys, tmp_path, p4_file):
         run_path = tmp_path / "run.json"

@@ -85,7 +85,7 @@ def test_oracle_table_schema(p4):
 
 def test_verdict_serialization():
     verdict = Verdict((
-        Violation("edge-load", (0, 2), Fraction(3, 2), Fraction(1)),
+        Violation("edge-feasibility", (0, 2), Fraction(3, 2), Fraction(1)),
         Violation("cs-blossom-full", frozenset({2, 0, 1}), 0, 1),
         Violation("y-nonpositive", 4, Fraction(1, 2), Fraction(0)),
     ))

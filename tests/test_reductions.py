@@ -10,7 +10,8 @@ from matchcert.reductions import (CompletionRefusedError,
                                   build_auxiliary_completion,
                                   build_doubled_graph,
                                   check_perfect_certificate)
-from util import edge_load, minimum_perfect_weight, random_instance
+from util import (edge_load, minimum_perfect_weight, random_instance,
+                  reference_perfect_check)
 
 HALF = Fraction(1, 2)
 
@@ -67,7 +68,7 @@ class TestAuxiliaryCompletion:
         # The matched edge {1, u1} is no longer tight; depending on the
         # perturbation direction that shows up as an overloaded edge or
         # as a slack matched edge.
-        assert any(v.constraint in ("edge-load", "cs-matched-edge-tight")
+        assert any(v.constraint in ("edge-feasibility", "cs-matched-edge-tight")
                    and v.witness == (0, 4)
                    for v in verdict.violations)
 
@@ -76,7 +77,8 @@ class TestAuxiliaryCompletion:
         comp = build_auxiliary_completion(p4, run.snapshots[1])
         # Raising helper u1's dual overloads the matched edge {1, u1};
         # lowering it leaves that edge slack. Each fault is named once.
-        for shift, expected in ((HALF, "edge-load"), (-HALF, "cs-matched-edge-tight")):
+        for shift, expected in ((HALF, "edge-feasibility"),
+                                (-HALF, "cs-matched-edge-tight")):
             pi = list(comp.lifted_duals.singleton_pi)
             pi[4] += shift
             forged = comp._replace(lifted_duals=DualState.from_fractions(
@@ -87,7 +89,8 @@ class TestAuxiliaryCompletion:
 
     def test_positive_blossom_left_thrice_fails(self):
         # Path 1-...-6 at its perfect snapshot, with a forged blossom
-        # {1, 3, 5} at dual 1/2: each of the three matched edges leaves it.
+        # {1, 3, 5} at dual 1/2: each of the three matched edges leaves it,
+        # so it holds none of the one matching edge its z < 0 requires.
         path = Instance.from_edges(6, [(v, v + 1, 2) for v in range(5)])
         comp = build_auxiliary_completion(path, solve(path).final)
         odd = frozenset({0, 2, 4})
@@ -95,7 +98,7 @@ class TestAuxiliaryCompletion:
             comp.lifted_duals.singleton_pi, (BlossomDual(odd, HALF),)))
         verdict = check_perfect_certificate(forged)
         assert [(v.constraint, v.witness, v.lhs, v.rhs) for v in verdict.violations
-                if v.constraint == "cs-cut-tight"] == [("cs-cut-tight", odd, 3, 1)]
+                if v.constraint == "cs-blossom-full"] == [("cs-blossom-full", odd, 0, 1)]
 
     def test_scripted_snapshot_refused(self, fig2):
         run = solve(fig2, phases=[[1, 1, 3]])
@@ -115,8 +118,8 @@ class TestAuxiliaryCompletion:
 
     def test_forged_fractional_completion_matches_fractions(self):
         # Weights and duals in halves, thirds and sevenths, a forged helper
-        # dual and blossom dual: the int loads give the verdict that the
-        # Fraction definition gives, in the same order.
+        # dual and blossom dual: the int left-hand sides give the verdict
+        # that the Fraction loads give, in edge order.
         rng = random.Random(17)
         forged_count = 0
         for _ in range(6):
@@ -134,18 +137,62 @@ class TestAuxiliaryCompletion:
                 forged = comp._replace(lifted_duals=DualState.from_fractions(tuple(pi), blossoms))
                 aux, m = forged.aux_instance, forged.extended_matching
                 loads = [edge_load(forged.lifted_duals, e.u, e.v) for e in aux.edges]
-                expected = [("edge-load", (e.u, e.v), load, e.weight)
-                            for e, load in zip(aux.edges, loads) if load > e.weight]
-                expected += [("cs-matched-edge-tight", (e.u, e.v), load, e.weight)
-                             for e, load in zip(aux.edges, loads)
-                             if (e.u, e.v) in m and load < e.weight]
+                expected = [("edge-feasibility", (e.u, e.v), load, e.weight)
+                            if load > e.weight else
+                            ("cs-matched-edge-tight", (e.u, e.v), load, e.weight)
+                            for e, load in zip(aux.edges, loads)
+                            if load > e.weight or (e.u, e.v) in m and load < e.weight]
                 verdict = check_perfect_certificate(forged)
                 assert [(v.constraint, v.witness, v.lhs, v.rhs)
                         for v in verdict.violations
-                        if v.constraint != "cs-cut-tight"] == expected
+                        if v.constraint != "cs-blossom-full"] == expected
                 assert check_perfect_certificate(comp).passed
                 forged_count += not verdict.passed
         assert forged_count > 0
+
+    def test_matches_the_cut_form_reference(self):
+        # Completions as built and with one mutation each: a singleton
+        # dual, a blossom dual, an added odd set, an added even set. The
+        # run checker's verdict must be the cut-form reference's, id for
+        # id: edge-load is edge-feasibility with the same lhs; a negative
+        # blossom dual pi is z-nonpositive at -2 pi; and, for odd sets, a
+        # blossom left by `leaving` edges holds (|U| - leaving) / 2.
+        rng = random.Random(41)
+        steps = (Fraction(-1), -HALF, Fraction(-1, 3), Fraction(1, 3), HALF, Fraction(1))
+        kinds: dict[str, list[bool]] = {}
+        seen: set[str] = set()
+        for _ in range(40):
+            inst = random_instance(rng, max_nodes=12, low=0, high=9)
+            for snap in solve(inst).snapshots:
+                comp = build_auxiliary_completion(inst, snap)
+                aux, m, dual = comp.aux_instance, comp.extended_matching, comp.lifted_duals
+                n = aux.node_count
+                pi, blossoms = list(dual.singleton_pi), list(dual.blossoms)
+                variants = {"built": dual}
+                pi[rng.randrange(n)] += rng.choice(steps)
+                variants["singleton"] = DualState.from_fractions(tuple(pi), dual.blossoms)
+                if blossoms:
+                    i = rng.randrange(len(blossoms))
+                    blossoms[i] = blossoms[i]._replace(pi=blossoms[i].pi + rng.choice(steps))
+                    variants["blossom"] = DualState.from_fractions(dual.singleton_pi,
+                                                                   tuple(blossoms))
+                for kind, size in (("odd set", rng.randrange(3, n + 1, 2) if n > 2 else 1),
+                                   ("even set", rng.randrange(2, n + 1, 2))):
+                    added = BlossomDual(frozenset(rng.sample(range(n), size)),
+                                        rng.choice(steps + (Fraction(0),)))
+                    variants[kind] = DualState.from_fractions(
+                        dual.singleton_pi, dual.blossoms + (added,))
+                for kind, lifted in variants.items():
+                    verdict = check_perfect_certificate(comp._replace(lifted_duals=lifted))
+                    reference = reference_perfect_check(aux, m, lifted)
+                    assert verdict.passed == reference.passed
+                    assert by_constraint(verdict) == translated(reference)
+                    kinds.setdefault(kind, []).append(verdict.passed)
+                    seen.update(v.constraint for v in verdict.violations)
+        assert all(kinds["built"])
+        assert all(not all(results) for kind, results in kinds.items() if kind != "built")
+        assert {"edge-feasibility", "cs-matched-edge-tight", "z-nonpositive",
+                "cs-blossom-full", "odd-set", "laminar-family"} <= seen
 
     def test_non_perfect_matching_rejected(self, p4):
         run = solve(p4)
@@ -153,6 +200,34 @@ class TestAuxiliaryCompletion:
         broken = comp._replace(extended_matching=Matching.from_pairs([(0, 1)]))
         with pytest.raises(ValueError):
             check_perfect_certificate(broken)
+
+
+def by_constraint(verdict) -> dict[str, list[tuple]]:
+    """A verdict's (witness, lhs, rhs) triples by constraint, in order;
+    cs-blossom-full only on odd sets, where it is the cut-form rule."""
+    grouped: dict[str, list[tuple]] = {}
+    for v in verdict.violations:
+        if v.constraint != "cs-blossom-full" or len(v.witness) % 2:
+            grouped.setdefault(v.constraint, []).append(tuple(v[1:]))
+    return grouped
+
+
+def translated(reference) -> dict[str, list[tuple]]:
+    """`by_constraint` of the reference, under the run checker's ids and
+    values."""
+    names = {"edge-load": "edge-feasibility", "blossom-nonneg": "z-nonpositive",
+             "cs-cut-tight": "cs-blossom-full"}
+    grouped: dict[str, list[tuple]] = {}
+    for constraint, witness, lhs, rhs in reference.violations:
+        if constraint == "blossom-nonneg":
+            lhs = -2 * lhs
+        elif constraint == "cs-cut-tight":
+            if not len(witness) % 2:
+                continue
+            lhs, rhs = (len(witness) - lhs) // 2, (len(witness) - 1) // 2
+        grouped.setdefault(names.get(constraint, constraint), []).append(
+            (witness, lhs, rhs))
+    return grouped
 
 
 class TestDoubledGraph:

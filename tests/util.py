@@ -102,6 +102,32 @@ def edge_load(dual: DualState, u: int, v: int) -> Fraction:
     return total
 
 
+def reference_perfect_check(inst: Instance, m: Matching, dual: DualState) -> Verdict:
+    """The cut-form check of a perfect matching m against duals `dual`, in
+    Fractions from the definition (`edge_load`): the blossoms form a
+    laminar family of odd sets with nonnegative duals (`blossom-nonneg`);
+    every matched pair is an edge; no edge's load exceeds its weight
+    (`edge-load`); matched edges are tight; and each blossom with positive
+    dual is left by exactly one matching edge (`cs-cut-tight`). The
+    reference that `reductions.check_perfect_certificate` must agree with."""
+    zero = Fraction(0)
+    violations = _family_violations(b.nodes for b in dual.blossoms)
+    violations += [Violation("blossom-nonneg", b.nodes, b.pi, zero)
+                   for b in dual.blossoms if b.pi < 0]
+    violations += non_edge_violations(inst, m)
+    for u, v, weight in inst.edges:
+        load = edge_load(dual, u, v)
+        if load > weight:
+            violations.append(Violation("edge-load", (u, v), load, weight))
+        elif load < weight and (u, v) in m:
+            violations.append(Violation("cs-matched-edge-tight", (u, v), load, weight))
+    for b in dual.blossoms:
+        leaving = sum((u in b.nodes) != (v in b.nodes) for u, v in m.edges)
+        if b.pi > 0 and leaving != 1:
+            violations.append(Violation("cs-cut-tight", b.nodes, leaving, 1))
+    return Verdict(tuple(violations))
+
+
 def replaced(cert: CardinalityCertificate, **values) -> CardinalityCertificate:
     """cert with some of gamma, y, z and k replaced, the Fraction values
     given as Fractions."""
