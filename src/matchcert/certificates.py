@@ -12,12 +12,12 @@ whose dual constrains, for every edge e = {u, v},
     y <= 0,  z <= 0.
 
 The builder (`engine.transform_duals`, cached as `Snapshot.certificate`)
-is re-exported here; the checker shares no arithmetic with it. Dual
-feasibility plus complementary slackness against a matching of size k
-proves, by weak LP duality, that it is minimum-weight among those. The
-checks compare ints at the lcm of the duals' and weights' scales
-(`Instance.scaled_weights`) and report violations as Fractions in
-original units; a run's checker recomputes only changed edges.
+shares no arithmetic with the checker. Dual feasibility plus
+complementary slackness against a matching of size k proves, by weak LP
+duality, that it is minimum-weight among those. The checks compare ints
+at the lcm of the duals' and weights' scales (`Instance.scaled_weights`)
+and report violations as Fractions in original units; a run's checker
+recomputes only changed edges.
 
 This is the package's one feasibility checker: the auxiliary perfect
 completion (`reductions.check_perfect_certificate`) is checked by it too,
@@ -34,8 +34,9 @@ from math import lcm
 from operator import ne
 from typing import Iterable
 
-# CardinalityCertificate and transform_duals are re-exported: callers
-# import the builder from here, beside its checker.
+# transform_duals is re-exported only for perfbench/tracing.py, the one
+# module that still imports it from here; the package and its tests
+# import it from engine.
 from .engine import (STATUS_PERFECT, CardinalityCertificate, RunResult,
                      transform_duals)
 from .graph import Instance, Matching, alternating_path_difference

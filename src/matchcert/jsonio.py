@@ -77,7 +77,10 @@ def _matching_from_json(pairs: list[Any], n: int) -> Matching:
     if not all(type(pair) is list and len(pair) == 2 for pair in pairs):
         raise ValueError("snapshots file: every matching edge must be two node ids")
     ends = _node_ids([v for pair in pairs for v in pair], n)
-    return Matching.from_pairs(zip(ends[::2], ends[1::2]))
+    m = Matching.from_pairs(zip(ends[::2], ends[1::2]))
+    if 2 * len(m) < len(ends):
+        raise ValueError(f"snapshots file: matching {pairs!r} lists an edge twice")
+    return m
 
 
 class _RationalReader:
@@ -125,6 +128,13 @@ class _RationalReader:
         return scale, tuple(map(self.scaled[scale].__getitem__, texts))
 
 
+def _blossom_nodes(ids: Any, n: int) -> frozenset[int]:
+    nodes = frozenset(_node_ids(ids, n))
+    if len(nodes) < len(ids):
+        raise ValueError(f"snapshots file: blossom {ids!r} repeats a node id")
+    return nodes
+
+
 def _duals_from_json(data: Any, read: _RationalReader) -> DualState:
     singles = field(data, "singletons", dict)
     n = len(singles)
@@ -133,7 +143,7 @@ def _duals_from_json(data: Any, read: _RationalReader) -> DualState:
     except KeyError as exc:
         raise ValueError(f"snapshots file: no singleton dual for node {exc}")
     items = field(data, "blossoms", list, [])
-    nodes = [frozenset(_node_ids(field(item, "nodes", list), n)) for item in items]
+    nodes = [_blossom_nodes(field(item, "nodes", list), n) for item in items]
     scale, units = read.units(texts + [field(item, "pi", str) for item in items])
     beta = read(field(data, "beta", str, "0"))
     return DualState(scale, units[:n], tuple(map(BlossomDual, nodes, units[n:])), beta)

@@ -4,10 +4,14 @@ matching: the auxiliary completion certificate and the doubled graph.
 The auxiliary completion attaches one fresh node per exposed node of a
 snapshot, joined to every original node by weight-0 edges. The snapshot's
 matching extends to a perfect matching of the same weight, and the frozen
-duals extend to dual values that certify it as a minimum-weight perfect
-matching. This re-proves the snapshot cardinality-optimal on a different
-graph, matching and duals than its cardinality certificate, with the same
-checker (see `check_perfect_certificate`).
+duals extend to dual values for it, each helper at minus the maximum
+accumulated dual pi*. They certify it as a minimum-weight perfect matching
+when every exposed node sits at that maximum, as uniform dual updates
+keep it; an exposed node below it leaves its helper edge slack, which the
+checker reports as `cs-matched-edge-tight`. This re-proves the snapshot
+cardinality-optimal on a different graph, matching and duals than its
+cardinality certificate, with the same checker (see
+`check_perfect_certificate`).
 
 The doubled graph joins a mirror copy of the instance along weight-0
 bridge edges; its minimum perfect-matching weight is exactly twice the
@@ -19,28 +23,11 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .certificates import Verdict, check_cardinality_certificate, transform_duals
-from .engine import DualState, Snapshot, accumulated_pi
+from .certificates import Verdict, check_cardinality_certificate
+from .engine import DualState, Snapshot, accumulated_pi, transform_duals
 from .graph import Edge, Instance, Matching
 
 ZERO = Fraction(0)
-
-
-class CompletionRefusedError(ValueError):
-    """The snapshot's duals cannot support the completion certificate.
-
-    Raised when some exposed node's accumulated dual is below the maximum,
-    which happens for snapshots of scripted (non-uniform) runs. Carries
-    the offending node and both values.
-    """
-
-    def __init__(self, node: int, pi_star: Fraction, pi_star_max: Fraction):
-        super().__init__(
-            f"exposed node {node} has accumulated dual {pi_star} "
-            f"!= maximum {pi_star_max}; completion certificate unavailable")
-        self.node = node
-        self.pi_star = pi_star
-        self.pi_star_max = pi_star_max
 
 
 class AuxiliaryCompletion(namedtuple("AuxiliaryCompletion",
@@ -65,21 +52,15 @@ def build_auxiliary_completion(inst: Instance, snapshot: Snapshot) -> AuxiliaryC
     """Complete a snapshot to a perfect matching on the extended graph.
 
     Each helper node is connected to every original node at weight 0 and
-    carries dual value minus the maximum accumulated dual, which makes its
-    matching edge tight. Requires every exposed node to sit at the
-    maximum accumulated dual (true for uniform-policy runs); otherwise
-    raises CompletionRefusedError with the witness node. The lifted duals
-    are the snapshot's ints, in its scale, with k helper values appended.
+    carries dual value minus the maximum accumulated dual, so its matching
+    edge is tight exactly when its exposed node sits at that maximum (true
+    for uniform-policy runs). The completion is built either way, and
+    `check_perfect_certificate` fails each exposed node below the maximum
+    at its helper edge. The lifted duals are the snapshot's ints, in its
+    scale, with k helper values appended.
     """
     dual = snapshot.dual_state
-    pi_star = accumulated_pi(dual.pi_units, dual.blossom_units)
-    pi_star_max = max(pi_star)
     exposed = snapshot.matching.exposed(inst)
-    for v in exposed:
-        if pi_star[v] != pi_star_max:
-            raise CompletionRefusedError(v, Fraction(pi_star[v], dual.scale),
-                                         Fraction(pi_star_max, dual.scale))
-
     n = inst.node_count
     k = len(exposed)
     if k == 0:
@@ -98,6 +79,7 @@ def build_auxiliary_completion(inst: Instance, snapshot: Snapshot) -> AuxiliaryC
 
     # pi_star_max is a sum of the duals' ints, so the scale stays the
     # smallest one.
+    pi_star_max = max(accumulated_pi(dual.pi_units, dual.blossom_units))
     duals = DualState(dual.scale, dual.pi_units + (-pi_star_max,) * k,
                       dual.blossom_units, dual.beta)
     return AuxiliaryCompletion(aux, extended, duals, exposed)

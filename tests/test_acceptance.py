@@ -40,10 +40,10 @@ from fractions import Fraction
 import pytest
 
 from matchcert import jsonio
-from matchcert.certificates import (check_cardinality_certificate,
-                                    transform_duals, verify_run)
+from matchcert.certificates import check_cardinality_certificate, verify_run
 from matchcert.cli import compare_dual_policies, figure2_instance, main
-from matchcert.engine import RunResult, accumulated_pi, lift_matching, solve
+from matchcert.engine import (RunResult, accumulated_pi, lift_matching, solve,
+                              transform_duals)
 from matchcert.graph import (Instance, Matching, alternating_path_difference,
                              format_instance, matching_weight, normalize_weights)
 from matchcert.oracle import OracleTable, min_weight_by_cardinality

@@ -3,11 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from matchcert.certificates import (CardinalityCertificate,
-                                    check_cardinality_certificate,
-                                    transform_duals, verify_run)
+from matchcert.certificates import check_cardinality_certificate, verify_run
 from matchcert.engine import (STATUS_NO_PERFECT, STATUS_PERFECT, BlossomDual,
-                              DualState, accumulated_pi, lift_matching, solve)
+                              CardinalityCertificate, DualState, accumulated_pi,
+                              lift_matching, solve, transform_duals)
 from matchcert.graph import Instance, Matching
 from matchcert.oracle import min_weight_by_cardinality
 from matchcert.reductions import (AuxiliaryCompletion, build_auxiliary_completion,
@@ -391,6 +390,13 @@ class TestVerifyRun:
         assert not verdict.passed
         assert [v.constraint for v in verdict.violations] == \
             ["cs-exposed-zero-y:k=4"]
+
+    def test_verdict_truth_is_passed(self, fig2):
+        # A one-field named tuple is truthy even when its one field holds
+        # violations; `if verdict:` must read as `if verdict.passed:`.
+        for phases in ((), [[1, 1, 3]]):
+            verdict = verify_run(fig2, solve(fig2, phases=phases))
+            assert bool(verdict) == verdict.passed == (not phases)
 
     def test_tampered_weight_detected(self, p4):
         run = solve(p4)

@@ -20,6 +20,17 @@ def p4_file(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def fig2_scripted(tmp_path):
+    """Figure 2's instance file and a scripted policy of amounts 1, 1, 3."""
+    from matchcert.graph import format_instance
+    fig2_path = tmp_path / "fig2.dimacs"
+    fig2_path.write_text(format_instance(figure2_instance()))
+    amounts = tmp_path / "amounts.txt"
+    amounts.write_text("1, 1, 3\n")
+    return str(fig2_path), f"scripted={amounts}"
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -95,17 +106,20 @@ class TestSolveCommand:
         assert data["normalization"]["shift"] == "5"
         assert data["oracle_check"]["pass"] is True
 
-    def test_scripted_policy_from_file(self, capsys, tmp_path):
-        fig2_path = tmp_path / "fig2.dimacs"
-        from matchcert.graph import format_instance
-        fig2_path.write_text(format_instance(figure2_instance()))
-        amounts = tmp_path / "amounts.txt"
-        amounts.write_text("1, 1, 3\n")
-        code, out, _ = run_cli(capsys, "solve", str(fig2_path),
-                               "--policy", f"scripted={amounts}")
+    def test_scripted_policy_from_file(self, capsys, fig2_scripted):
+        fig2_path, policy = fig2_scripted
+        code, out, _ = run_cli(capsys, "solve", fig2_path, "--policy", policy)
         assert code == 0
         data = json.loads(out)
         assert data["snapshots"][-1]["weight"] == "4"
+
+    def test_oracle_check_failure_exits_2(self, capsys, fig2_scripted):
+        fig2_path, policy = fig2_scripted
+        code, out, _ = run_cli(capsys, "solve", fig2_path, "--policy", policy,
+                               "--oracle-check")
+        assert code == 2
+        assert json.loads(out)["oracle_check"] == {
+            "pass": False, "mismatches": [{"k": 4, "weight": "4", "oracle_min": "3"}]}
 
     def test_long_zero_script_runs_to_the_end(self, capsys, tmp_path, p4_file):
         # Each of the 1,200 phases spends a solver step; zero amounts leave
@@ -461,6 +475,11 @@ class TestInputErrors:
         (lambda d: d["snapshots"][1].update(matching=[[1]]),
          "every matching edge must be two node ids"),
         (rename_singleton_4, "no singleton dual for node '4'"),
+        (lambda d: d["snapshots"][1].update(matching=[[2, 3], [2, 3]]),
+         "matching [[2, 3], [2, 3]] lists an edge twice"),
+        (lambda d: d["snapshots"][2]["duals"].update(
+            blossoms=[{"nodes": [1, 2, 3, 1], "pi": "0"}]),
+         "blossom [1, 2, 3, 1] repeats a node id"),
     ])
     def test_malformed_snapshots_file(self, capsys, tmp_path, p4_file, tamper, message):
         assert_input_error(verify_tampered(capsys, tmp_path, p4_file, tamper), message)
@@ -574,6 +593,21 @@ class TestReduceCommand:
         violations = json.loads(out)["check"]["violations"]
         assert [(v["constraint"], v["witness"], v["lhs"], v["rhs"]) for v in violations] == \
             [("edge-feasibility", [1, 2], "6", "5"), ("edge-feasibility", [2, 3], "2", "1")]
+
+    def test_auxiliary_scripted_snapshot_fails(self, capsys, tmp_path, fig2_scripted):
+        # Exposed node 8 sits at accumulated dual 1, below the maximum 3,
+        # so its helper edge to node 10 is slack by 2.
+        fig2_path, policy = fig2_scripted
+        run_path = tmp_path / "run.json"
+        run_cli(capsys, "solve", fig2_path, "--policy", policy, "--snapshots", str(run_path))
+        code, out, err = run_cli(capsys, "reduce", fig2_path, "--auxiliary", f"{run_path}:4")
+        assert code == 2
+        data = json.loads(out)
+        assert data["exposed"] == [8]
+        assert [(v["constraint"], v["witness"], v["lhs"], v["rhs"])
+                for v in data["check"]["violations"]] == \
+            [("cs-matched-edge-tight", [8, 10], "-2", "0")]
+        assert err == "1 violations\n"
 
     def test_auxiliary_missing_snapshot(self, capsys, tmp_path, p4_file):
         run_path = tmp_path / "run.json"

@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from matchcert.engine import (AlphaResult, EngineState, EngineStateError,
-                              InfeasibleUpdateError, _Blossom,
+from matchcert.engine import (AlphaResult, AlternatingWalk, EngineState,
+                              EngineStateError, InfeasibleUpdateError, _Blossom,
                               _completion, apply_dual_update, compute_alpha,
                               lift_matching, shrink_blossom, solve)
 from matchcert.graph import Instance, Matching, alternating_path_difference
@@ -15,6 +15,22 @@ from util import (advance_to_dual_phase, checked_steps, edge_load,
                   random_instance, reference_view)
 
 HALF = Fraction(1, 2)
+
+
+def observable(state: EngineState) -> tuple:
+    """The stored matching, node duals and view: what a rejected call must
+    leave as it was."""
+    return dict(state.mates), state.pi_node, state.shrunken_view()
+
+
+def rejected_unchanged(state: EngineState, call, message: str) -> None:
+    """`call()` raises ValueError with `message` and changes no observable."""
+    before = observable(state)
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
+    assert observable(state) == before
+    assert state.shrunken_view() is before[2]
 
 
 def edge_slack(state: EngineState, edge_index: int) -> Fraction:
@@ -219,6 +235,13 @@ class TestApplyDualUpdate:
         assert err.value.witness == 0
         assert str(err.value) == "edge-slack: witness=[1, 2] lhs=200 rhs=5"
 
+    def test_amounts_for_a_non_root_rejected_state_unchanged(self, fig2):
+        state = EngineState(fig2)
+        advance_to_dual_phase(state)
+        assert sorted(state.forest_labels().roots) == [6, 7, 8]
+        rejected_unchanged(state, lambda: apply_dual_update(state, {0: 1, 6: 1}),
+                           "amounts given for non-root view nodes [0]")
+
     def test_too_many_scripted_amounts(self, fig2):
         with pytest.raises(ValueError):
             solve(fig2, phases=[[1, 1, 1, 1]])
@@ -256,6 +279,22 @@ class TestShrinkAndLift:
                 apply_dual_update(state, compute_alpha(state).alpha)
         with pytest.raises(ValueError):
             state.augment(walk)
+
+    def test_augment_rejects_a_matched_end(self, fig2):
+        state = EngineState(fig2)
+        walk = state.grow_forest()
+        assert walk is not None and walk.is_path()
+        state.augment(walk)
+        rejected_unchanged(state, lambda: state.augment(walk),
+                           "augmenting path must join two exposed nodes")
+
+    def test_shrink_rejects_an_open_walk(self, fig2):
+        # Node 0 repeats, so the walk is no path, but it ends at node 1.
+        state = EngineState(fig2)
+        walk = AlternatingWalk((0, 3, 0, 1), (0, 0, 6))
+        assert not walk.is_path()
+        rejected_unchanged(state, lambda: shrink_blossom(state, walk),
+                           "non-path walk must start and end at the same exposed node")
 
     def test_shrink_preserves_lifted_matching(self, c5_two_tails):
         state = EngineState(c5_two_tails)

@@ -3,11 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from matchcert.engine import BlossomDual, DualState, solve
+from matchcert.engine import BlossomDual, DualState, accumulated_pi, solve
 from matchcert.graph import Instance, Matching, matching_weight
 from matchcert.oracle import min_weight_by_cardinality
-from matchcert.reductions import (CompletionRefusedError,
-                                  build_auxiliary_completion,
+from matchcert.reductions import (build_auxiliary_completion,
                                   build_doubled_graph,
                                   check_perfect_certificate)
 from util import (edge_load, minimum_perfect_weight, random_instance,
@@ -101,11 +100,48 @@ class TestAuxiliaryCompletion:
                 if v.constraint == "cs-blossom-full"] == [("cs-blossom-full", odd, 0, 1)]
 
     def test_scripted_snapshot_refused(self, fig2):
+        # At k=4 the exposed tail node c2 (node 7) sits at pi* 1, below
+        # the maximum 3, so its helper edge {7, 9} is slack by 2.
         run = solve(fig2, phases=[[1, 1, 3]])
-        with pytest.raises(CompletionRefusedError) as err:
-            build_auxiliary_completion(fig2, run.snapshots[4])
-        assert err.value.node == 7  # tail node c2 sits below the maximum
-        assert err.value.pi_star < err.value.pi_star_max
+        for snap in run.snapshots[:4]:
+            assert check_perfect_certificate(build_auxiliary_completion(fig2, snap)).passed
+        comp = build_auxiliary_completion(fig2, run.snapshots[4])
+        assert comp.exposed_nodes == (7,)
+        verdict = check_perfect_certificate(comp)
+        assert [(v.constraint, v.witness, v.lhs, v.rhs) for v in verdict.violations] == \
+            [("cs-matched-edge-tight", (7, 9), -2, 0)]
+
+    def test_checker_rejects_exposed_nodes_below_the_maximum(self):
+        # Scripted runs with negative and fractional amounts and beta 0 or
+        # 1/2: a completion fails iff an exposed node's pi* is below the
+        # maximum, with one slack helper edge per such node, in helper order.
+        rng = random.Random(2021)
+        runs = 0
+        outcomes: set[bool] = set()
+        while runs < 120:
+            inst = random_instance(rng, max_nodes=12, low=0, high=9)
+            phases = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                       for _ in range(rng.randint(1, 4))]
+                      for _ in range(rng.randint(1, 3))]
+            try:
+                run = solve(inst, phases=phases, beta=rng.choice((0, HALF)))
+            except ValueError:  # an infeasible amount, or more amounts than trees
+                continue
+            runs += 1
+            n = inst.node_count
+            for snap in run.snapshots:
+                dual = snap.dual_state
+                pi_star = accumulated_pi(dual.pi_units, dual.blossom_units)
+                top = max(pi_star)
+                comp = build_auxiliary_completion(inst, snap)
+                expected = [("cs-matched-edge-tight", (v, n + i),
+                             Fraction(pi_star[v] - top, dual.scale), 0)
+                            for i, v in enumerate(comp.exposed_nodes) if pi_star[v] < top]
+                verdict = check_perfect_certificate(comp)
+                assert [(v.constraint, v.witness, v.lhs, v.rhs)
+                        for v in verdict.violations] == expected
+                outcomes.add(verdict.passed)
+        assert outcomes == {True, False}
 
     def test_non_edge_in_matching_reported(self):
         # Path 1-2-3 with snapshot k=1 forged to match the non-edge {1, 3}.
