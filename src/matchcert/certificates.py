@@ -15,9 +15,10 @@ The builder (`engine.transform_duals`, cached as `Snapshot.certificate`)
 shares no arithmetic with the checker. Dual feasibility plus
 complementary slackness against a matching of size k proves, by weak LP
 duality, that it is minimum-weight among those. The checks compare ints
-at the lcm of the duals' and weights' scales (`Instance.scaled_weights`)
-and report violations as Fractions in original units; a run's checker
-recomputes only changed edges.
+at the lcm of the duals' and weights' scales (`Instance.scaled_weights`,
+computed once per instance; an auxiliary completion carries the original
+instance's over) and report violations as Fractions in original units; a
+run's checker recomputes only changed edges.
 
 This is the package's one feasibility checker: the auxiliary perfect
 completion (`reductions.check_perfect_certificate`) is checked by it too,
@@ -97,14 +98,17 @@ def non_edge_violations(inst: Instance, m: Matching) -> list[Violation]:
 
 class _RunChecker:
     """`check_cardinality_certificate` on a run's snapshots, in order. It keeps
-    the last matching, weight, scale, y, gamma, value per distinct z set and
-    F1 violators, and each edge's z sum and left-hand side. It diffs each
-    certificate with the kept one, never with engine state, and recomputes
-    only edges at a node whose y_v + gamma/2 moved or in a z set that moved."""
+    the last matching and its edges' indices, weight, scale, y, gamma, value
+    per distinct z set and F1 violators, and each edge's z sum and left-hand
+    side. The first check finds the matched edges in one scan of the edges,
+    later ones in the instance's pair index. It diffs each certificate with
+    the kept one, never with engine state, and recomputes only edges at a
+    node whose y_v + gamma/2 moved or in a z set that moved."""
 
     def __init__(self, inst: Instance):
         self.inst = inst
         self.pairs, self.weight_units, self.scale, self.y = frozenset(), 0, None, ()
+        self.matched: dict[tuple[int, int], int] = {}  # matched edge pair -> index
 
     # The incidence maps are built on first use: a check of one snapshot
     # rechecks every edge and needs neither unless it has z sets.
@@ -124,14 +128,23 @@ class _RunChecker:
         return below
 
     def check(self, m: Matching, cert: CardinalityCertificate) -> list[Violation]:
-        inst, edges = self.inst, self.inst.edges
-        index, (weight_scale, weights) = inst._pair_index, inst.scaled_weights
-        for sign, pairs in ((1, m.edges - self.pairs), (-1, self.pairs - m.edges)):
-            self.weight_units += sign * sum(weights[i] for i in map(index.get, pairs)
-                                            if i is not None)
+        inst, edges, matched = self.inst, self.inst.edges, self.matched
+        weight_scale, weights = inst.scaled_weights
+        for pair in self.pairs - m.edges:
+            if pair in matched:
+                self.weight_units -= weights[matched.pop(pair)]
+        entered = m.edges - self.pairs
+        if entered and self.scale is None:
+            upper = dict(entered)
+            found = {(u, v): e for e, (u, v, _) in enumerate(edges) if upper.get(u) == v}
+        else:
+            index = inst._pair_index
+            found = {pair: index[pair] for pair in entered if pair in index}
+        matched.update(found)
+        self.weight_units += sum(weights[e] for e in found.values())
         self.pairs = m.edges
         self.weight = Fraction(self.weight_units, weight_scale) \
-            if index.keys() >= m.edges else None  # None: a matched non-edge
+            if len(matched) == len(m) else None  # None: a matched non-edge
         y, gamma, z = cert.y_units, cert.gamma_units, cert.z_units
         violations = _family_violations(nodes for nodes, _ in z)
         if self.weight is None:
@@ -149,7 +162,8 @@ class _RunChecker:
         if cert.scale != self.scale or len(y) != len(self.y):
             scale = lcm(weight_scale, cert.scale)
             self.units, self.factor = scale, scale // cert.scale
-            self.w = [w * (scale // weight_scale) for w in weights]
+            per_weight = scale // weight_scale
+            self.w = [w * per_weight for w in weights]
             self.scale, self.zmap, self.above = cert.scale, {}, set()
             self.zin, self.lhs = [0] * len(edges), [0] * len(edges)
             recheck = set(range(len(edges)))
@@ -175,7 +189,7 @@ class _RunChecker:
                 over.append(e)
         self.above = self.above.difference(recheck).union(over)
         # F1 on every edge, CS1 on the matched ones, in edge order.
-        loose = [e for e in map(index.get, m.edges) if e is not None and lhs[e] < w[e]]
+        loose = [e for e in matched.values() if lhs[e] < w[e]]
         for e in sorted(self.above.union(loose)):
             u, v, weight = edges[e]
             violations.append(Violation(

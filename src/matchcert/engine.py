@@ -438,10 +438,11 @@ class EngineState:
         beta = as_rational(beta)
         if beta < 0:
             raise ValueError(f"beta must be nonnegative, got {beta}")
-        for e in inst.edges:
-            if e.weight < 0:
-                raise ValueError(
-                    f"negative weight on edge ({e.u}, {e.v}); normalize weights first")
+        weight_scale, weights = inst.scaled_weights
+        if inst.min_weight() < 0:
+            u, v, _ = next(e for e, w in zip(inst.edges, weights) if w < 0)
+            raise ValueError(
+                f"negative weight on edge ({u}, {v}); normalize weights first")
         if inst.edges and 2 * beta > inst.min_weight():
             raise ValueError(
                 f"beta {beta} makes the initial duals infeasible: "
@@ -449,10 +450,12 @@ class EngineState:
         self.inst = inst
         self.beta = beta
         # Integer units of 1/scale: weights, node duals, accumulated duals
-        # pi*, and (on the records) blossom duals.
-        self._scale = 2 * lcm(beta.denominator,
-                              *(e.weight.denominator for e in inst.edges))
-        self._weights = [self._units(e.weight) for e in inst.edges]
+        # pi*, and (on the records) blossom duals. The scale is a multiple
+        # of the instance's, so the weights are its cached ints times one
+        # factor.
+        self._scale = 2 * lcm(beta.denominator, weight_scale)
+        factor = self._scale // weight_scale
+        self._weights = [w * factor for w in weights]
         self._pairs: list[Pair] = [(u, v) for u, v, _ in inst.edges]
         self._pi = [self._units(beta)] * inst.node_count
         self._pi_star = list(self._pi)

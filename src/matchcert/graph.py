@@ -91,17 +91,18 @@ class Instance(namedtuple("Instance", "node_count edges")):
         for e in edges:
             if not isinstance(e, Edge):
                 raise TypeError(f"edges must be Edge tuples, got {e!r}")
-            if not (isinstance(e.u, int) and isinstance(e.v, int)):
+            u, v, weight = e
+            if not (isinstance(u, int) and isinstance(v, int)):
                 raise TypeError(f"edge endpoints must be ints: {e!r}")
-            if e.u == e.v:
-                raise ValueError(f"self-loop at node {e.u}")
-            if not (0 <= e.u < node_count and 0 <= e.v < node_count):
-                raise ValueError(f"edge endpoint out of range: {e!r}")
-            if e.u > e.v:
+            if not 0 <= u < v < node_count:  # one test for the valid case
+                if u == v:
+                    raise ValueError(f"self-loop at node {u}")
+                if not (0 <= u < node_count and 0 <= v < node_count):
+                    raise ValueError(f"edge endpoint out of range: {e!r}")
                 raise ValueError(f"edge endpoints must be ordered u < v: {e!r}")
-            if not isinstance(e.weight, Fraction):
+            if not isinstance(weight, Fraction):
                 raise TypeError(f"edge weight must be a Fraction: {e!r}")
-            pair = (e.u, e.v)
+            pair = (u, v)
             if pair in seen:
                 raise ValueError(f"duplicate edge {pair}")
             seen.add(pair)
@@ -135,6 +136,19 @@ class Instance(namedtuple("Instance", "node_count edges")):
         scale = lcm(*{e.weight.denominator for e in self.edges})
         return scale, tuple(e.weight.numerator * (scale // e.weight.denominator)
                             for e in self.edges)
+
+    def _extended(self, node_count: int, edges: Iterable[Edge],
+                  weights: Iterable[int]) -> "Instance":
+        """An instance on `node_count` nodes with this one's edges followed
+        by `edges`, whose weights times this instance's scale are the ints
+        `weights`. Its `scaled_weights` carries this one's ints over rather
+        than reading every Fraction again, so each new weight's denominator
+        must divide this instance's scale (as 0 and this instance's own
+        weights do)."""
+        scale, own = self.scaled_weights
+        inst = Instance(node_count, self.edges + tuple(edges))
+        inst.__dict__["scaled_weights"] = scale, own + tuple(weights)
+        return inst
 
     def edge_index(self, u: int, v: int) -> int:
         """Index of the edge {u, v}; raises KeyError if absent."""
@@ -397,9 +411,14 @@ def parse_instance(source: Union[str, IO[str], Iterable[str]]) -> Instance:
 
 
 def format_instance(inst: Instance) -> str:
-    """Serialize an Instance back to the file format (1-based ids)."""
+    """Serialize an Instance back to the file format (1-based ids).
+
+    Written from the scaled int weights: each distinct weight's text and
+    each node's id are built once, not once per edge."""
+    scale, weights = inst.scaled_weights
+    ids = [str(v) for v in range(1, inst.node_count + 1)]
+    texts = {w: str(Fraction(w, scale)) for w in set(weights)}
     out = [f"p edge {inst.node_count} {len(inst.edges)}"]
-    for e in inst.edges:
-        out.append(f"e {e.u + 1} {e.v + 1} {e.weight}")
+    out += [f"e {ids[u]} {ids[v]} {texts[w]}" for (u, v, _), w in zip(inst.edges, weights)]
     return "\n".join(out) + "\n"
 

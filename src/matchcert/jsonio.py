@@ -77,7 +77,12 @@ def _matching_from_json(pairs: list[Any], n: int) -> Matching:
     if not all(type(pair) is list and len(pair) == 2 for pair in pairs):
         raise ValueError("snapshots file: every matching edge must be two node ids")
     ends = _node_ids([v for pair in pairs for v in pair], n)
-    m = Matching.from_pairs(zip(ends[::2], ends[1::2]))
+    try:
+        m = Matching.from_pairs(zip(ends[::2], ends[1::2]))
+    except ValueError:
+        # Raise the same error again on the file's own 1-based ids.
+        Matching.from_pairs(pairs)
+        raise
     if 2 * len(m) < len(ends):
         raise ValueError(f"snapshots file: matching {pairs!r} lists an edge twice")
     return m

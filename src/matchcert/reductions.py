@@ -11,7 +11,10 @@ keep it; an exposed node below it leaves its helper edge slack, which the
 checker reports as `cs-matched-edge-tight`. This re-proves the snapshot
 cardinality-optimal on a different graph, matching and duals than its
 cardinality certificate, with the same checker (see
-`check_perfect_certificate`).
+`check_perfect_certificate`). The completed instance's scaled int weights
+are the original's cached ones plus a 0 per helper edge
+(`Instance._extended`), so no Fraction is read again; the doubled graph
+reuses them the same way.
 
 The doubled graph joins a mirror copy of the instance along weight-0
 bridge edges; its minimum perfect-matching weight is exactly twice the
@@ -66,12 +69,10 @@ def build_auxiliary_completion(inst: Instance, snapshot: Snapshot) -> AuxiliaryC
     if k == 0:
         return AuxiliaryCompletion(inst, snapshot.matching, dual, ())
 
-    edges = list(inst.edges)
-    for i in range(k):
-        helper = n + i
-        for v in range(n):
-            edges.append(Edge(v, helper, ZERO))
-    aux = Instance(n + k, tuple(edges))
+    # tuple.__new__ skips Edge's own __new__, a Python call per edge.
+    helper_edges = [tuple.__new__(Edge, (v, helper, ZERO))
+                    for helper in range(n, n + k) for v in range(n)]
+    aux = inst._extended(n + k, helper_edges, (0,) * len(helper_edges))
 
     pairs = set(snapshot.matching.edges)
     pairs.update((exposed[i], n + i) for i in range(k))
@@ -117,7 +118,6 @@ def build_doubled_graph(inst: Instance) -> Instance:
     is twice the instance's minimum matching weight over all cardinalities.
     """
     n = inst.node_count
-    edges = list(inst.edges)
-    edges.extend(Edge(e.u + n, e.v + n, e.weight) for e in inst.edges)
-    edges.extend(Edge(v, v + n, ZERO) for v in range(n))
-    return Instance(2 * n, tuple(edges))
+    edges = [Edge(u + n, v + n, w) for u, v, w in inst.edges]
+    edges += [Edge(v, v + n, ZERO) for v in range(n)]
+    return inst._extended(2 * n, edges, inst.scaled_weights[1] + (0,) * n)

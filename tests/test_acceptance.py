@@ -50,8 +50,9 @@ from matchcert.oracle import OracleTable, min_weight_by_cardinality
 from matchcert.reductions import (build_auxiliary_completion,
                                   build_doubled_graph,
                                   check_perfect_certificate)
-from util import (assert_round_trip, checked_steps, minimum_perfect_weight,
-                  random_instance, reference_check_certificate,
+from util import (assert_round_trip, checked_steps, fresh_scaled_weights,
+                  minimum_perfect_weight, random_instance,
+                  reference_check_certificate, reference_format_instance,
                   reference_run_dict, reference_verify_run, replaced)
 
 SEED = 20260809
@@ -286,6 +287,31 @@ def test_auxiliary_output_matches_golden_digest(suite, tmp_path):
     assert digest.hexdigest() == GOLDEN_AUXILIARY_DIGEST, \
         "reduce --auxiliary output of the acceptance corpus changed"
     report("golden auxiliary output", f"{calls} completions byte-identical")
+
+
+def test_reductions_carry_the_instance_weights_over(suite):
+    """Both reductions reuse the instance's cached scaled ints: they must
+    equal what a fresh instance computes from the Fractions."""
+    completions = 0
+    for rec in suite:
+        for snap in rec.run.snapshots:
+            aux = build_auxiliary_completion(rec.normalized, snap).aux_instance
+            assert aux.scaled_weights == fresh_scaled_weights(aux)
+            completions += 1
+        doubled = build_doubled_graph(rec.raw)
+        assert doubled.scaled_weights == fresh_scaled_weights(doubled)
+    report("reductions' weights", f"{completions} completions, "
+           f"{len(suite)} doubled graphs equal a fresh instance's")
+
+
+def test_doubled_output_matches_the_reference_formatter(suite, tmp_path):
+    inst_path = tmp_path / "instance.dimacs"
+    for rec in suite:
+        inst_path.write_text(format_instance(rec.raw))
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert main(["reduce", str(inst_path), "--doubled"]) == 0
+        assert out.getvalue() == reference_format_instance(build_doubled_graph(rec.raw))
 
 
 def test_snapshot_json_matches_reference_builder(suite):

@@ -484,6 +484,23 @@ class TestInputErrors:
     def test_malformed_snapshots_file(self, capsys, tmp_path, p4_file, tamper, message):
         assert_input_error(verify_tampered(capsys, tmp_path, p4_file, tamper), message)
 
+    @pytest.mark.parametrize("matching, message", [
+        ([[2, 2]], "error: self-loop (2, 2) in matching"),
+        ([[2, 3], [3, 4]], "error: node shared by two matching edges near (3, 4)"),
+    ])
+    def test_malformed_matching_named_in_file_ids(self, capsys, tmp_path,
+                                                  matching, message):
+        """The reader's matching errors name the file's 1-based node ids."""
+        path = tmp_path / "path5.dimacs"
+        path.write_text("p edge 5 4\ne 1 2 3\ne 2 3 1\ne 3 4 5\ne 4 5 2\n")
+        run_path = tmp_path / "run.json"
+        run_cli(capsys, "solve", str(path), "--snapshots", str(run_path))
+        data = json.loads(run_path.read_text())
+        data["snapshots"][2]["matching"] = matching
+        run_path.write_text(json.dumps(data))
+        assert_input_error(run_cli(capsys, "verify", str(path), "--run", str(run_path)),
+                           message)
+
     def test_empty_amounts_file(self, capsys, tmp_path, p4_file):
         amounts = tmp_path / "amounts.txt"
         amounts.write_text("c no phases\n\n")

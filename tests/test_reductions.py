@@ -36,6 +36,16 @@ class TestAuxiliaryCompletion:
         assert helper_pairs == {(v, h) for h in (4, 5) for v in range(4)}
         assert all(e.weight == 0 for e in comp.aux_instance.edges[len(p4.edges):])
 
+    def test_completion_reuses_the_instance_weights(self, fig2):
+        """A guard on the completion's cost, not its output: its scaled ints
+        are carried over from the instance, never recomputed from the helper
+        edges' Fractions, and checking it builds no pair index over them."""
+        for snap in solve(fig2, phases=[[1, 1, 3]]).snapshots:
+            comp = build_auxiliary_completion(fig2, snap)
+            assert "scaled_weights" in vars(comp.aux_instance)
+            check_perfect_certificate(comp)
+            assert "_pair_index" not in vars(comp.aux_instance)
+
     def test_perfect_snapshot_is_identity(self, p4):
         run = solve(p4)
         comp = build_auxiliary_completion(p4, run.snapshots[2])
@@ -285,6 +295,11 @@ class TestDoubledGraph:
         copies = matching_weight(doubled, Matching.from_pairs([(0, 1), (2, 3)]))
         assert copies == -10
         assert minimum_perfect_weight(doubled) == -10
+
+    def test_reuses_the_instance_weights(self, p4):
+        doubled = build_doubled_graph(p4)
+        assert "scaled_weights" in vars(doubled)
+        assert doubled.scaled_weights == (1, (5, 1, 5) * 2 + (0,) * 4)
 
     def test_p4_doubled_minimum_is_zero(self, p4):
         assert minimum_perfect_weight(build_doubled_graph(p4)) == 0

@@ -18,10 +18,12 @@ from matchcert.certificates import verify_run
 from matchcert.engine import (EngineState, InfeasibleUpdateError,
                               accumulated_pi, apply_dual_update, compute_alpha,
                               solve)
-from matchcert.graph import Instance
+from matchcert.graph import Instance, format_instance
 from matchcert.oracle import min_weight_by_cardinality
+from matchcert.reductions import build_auxiliary_completion
 
-from util import (assert_round_trip, checked_steps, reference_run_dict,
+from util import (assert_round_trip, checked_steps, fresh_scaled_weights,
+                  reference_format_instance, reference_run_dict,
                   reference_verify_run)
 
 SEED = 20261018
@@ -87,6 +89,17 @@ def test_verdicts_match_the_reference_checker():
         assert verdict == reference_verify_run(inst, run)
         failed += not verdict.passed
     assert failed > 0
+
+
+def test_completion_weights_match_a_fresh_instance():
+    """Each completion carries the instance's cached ints over, plus a 0
+    per helper edge; with weight denominators 1, 2, 3 and 7 they must equal
+    what a fresh instance computes, and print as the Fractions do."""
+    for i, inst in corpus():
+        for snap in corpus_run(i, inst).snapshots:
+            aux = build_auxiliary_completion(inst, snap).aux_instance
+            assert aux.scaled_weights == fresh_scaled_weights(aux)
+            assert format_instance(aux) == reference_format_instance(aux)
 
 
 def test_uniform_runs_verify_and_match_oracle():

@@ -253,6 +253,21 @@ def checked_steps(inst: Instance, phases=(), beta=0, observer=None) -> dict[str,
     return counts
 
 
+def reference_format_instance(inst: Instance) -> str:
+    """`graph.format_instance` one edge at a time, from each edge's
+    Fraction: the reference for the formatter that writes the scaled ints."""
+    out = [f"p edge {inst.node_count} {len(inst.edges)}"]
+    for e in inst.edges:
+        out.append(f"e {e.u + 1} {e.v + 1} {e.weight}")
+    return "\n".join(out) + "\n"
+
+
+def fresh_scaled_weights(inst: Instance) -> tuple[int, tuple[int, ...]]:
+    """`scaled_weights` computed anew from the Fractions, on an uncached
+    copy of the instance."""
+    return Instance(inst.node_count, inst.edges).scaled_weights
+
+
 def reference_path_difference(m: Matching, m2: Matching) -> SymmetricDifference:
     """`alternating_path_difference` one component at a time: collect the
     component of each unvisited node in ascending order, then walk it from
