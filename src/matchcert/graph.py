@@ -12,11 +12,12 @@ format and in all JSON output.
 from __future__ import annotations
 
 import re
+import sys
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import IO, Iterable, NamedTuple, Union
+from typing import IO, Iterable, Union
 
 RationalInput = Union[int, str, Fraction]
 
@@ -61,7 +62,11 @@ def as_rational(value: RationalInput) -> Fraction:
     return Fraction(value)
 
 
-class Edge(NamedTuple):
+class Edge(namedtuple("Edge", "u v weight")):
+    """One edge of an Instance: 0-based ends u < v and its weight."""
+
+    __slots__ = ()
+
     u: int
     v: int
     weight: Fraction
@@ -378,6 +383,8 @@ def parse_instance(source: Union[str, IO[str], Iterable[str]]) -> Instance:
                 raise ParseError(f"malformed header counts in {line!r}", lineno)
             if node_count < 1:
                 raise ParseError(f"invalid header counts in {line!r}", lineno)
+            if node_count > sys.maxsize:
+                raise ParseError(f"node count {node_count} exceeds {sys.maxsize}", lineno)
         elif fields[0] == "e":
             if node_count is None:
                 raise ParseError("edge line before header", lineno)

@@ -4,12 +4,13 @@ Conventions: node ids are 1-based in JSON, rationals serialize as strings
 ("7/2", or "3" when integral), and all collections are emitted in a fixed
 deterministic order so identical inputs produce byte-identical output.
 Readers check every key and type they use and raise ValueError on a
-malformed file. `dumps` writes the same text as the standard library's
-`json.dumps(data, indent=2)`, without its pure-Python indenting encoder.
+malformed file. `dumps` writes the text of the standard library's
+`json.dumps(data, indent=2)`, and has the standard library write all of
+it but a run's snapshots array.
 
 `run_result_to_dict` returns a run's top-level object, whose `snapshots`
 entry is left for `dumps`: it renders the snapshots array straight to
-text, into the same list of pieces as the rest of the document, which is
+text, into one list of pieces with the text of the rest of the object,
 joined once. That array is Theta(n * nu) and dominates every run file, so
 its writer makes each string once per call: the quoted text of each
 rational, through a memo keyed by (scale, int) that reads the duals' and
@@ -24,6 +25,7 @@ their denominators, straight from a memo of each distinct string.
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from math import lcm
@@ -255,66 +257,32 @@ def verdict_to_dict(verdict: Verdict) -> dict[str, Any]:
     }
 
 
-def dumps(data: dict[str, Any]) -> str:
-    """Deterministic JSON text: fixed key order, two-space indent.
+def dumps(data: Any) -> str:
+    """Deterministic JSON text: `json.dumps(data, indent=2) + "\n"`, where
+    a run's `snapshots` entry stands for the array its snapshots serialize
+    to.
 
-    The text equals `json.dumps(data, indent=2) + "\n"`, where a run's
-    `snapshots` entry stands for the array its snapshots serialize to.
-    Every value appends its text to one list of pieces, joined once at
-    the end; the standard library's pure-Python indenting encoder is not
-    used. Values may be str, int, bool, None, lists, tuples and dicts
-    with str keys; anything else is a TypeError.
+    The standard library writes all but that array: the run's object with
+    null in the array's place, whose text is split there to take the
+    array's pieces from `_emit_snapshots`, all joined once. Payloads hold
+    str, int, bool, None, lists, tuples and dicts with str keys; a
+    Fraction or a set is a TypeError.
     """
-    pieces: list[str] = []
-    _emit(data, "\n", pieces)
-    pieces.append("\n")
+    snapshots = data.get("snapshots") if type(data) is dict else None
+    if type(snapshots) is not _SnapshotsArray:
+        return json.dumps(data, indent=2) + "\n"
+    head, _, tail = json.dumps({**data, "snapshots": None}, indent=2).partition(
+        _SNAPSHOTS_KEY + "null")
+    pieces = [head, _SNAPSHOTS_KEY]
+    _emit_snapshots(snapshots.snapshots, pieces)
+    pieces.append(tail + "\n")
     return "".join(pieces)
 
 
-def _emit(value: Any, newline: str, out: list[str]) -> None:
-    """Append the JSON text of one value whose line starts with `newline`."""
-    if type(value) is str:
-        out.append(encode_basestring_ascii(value))
-    elif value is None:
-        out.append("null")
-    elif value is True:
-        out.append("true")
-    elif value is False:
-        out.append("false")
-    elif isinstance(value, int):
-        out.append(int.__repr__(value))
-    elif isinstance(value, dict):
-        if not value:
-            out.append("{}")
-            return
-        inner = newline + "  "
-        sep = "{" + inner
-        for key, item in value.items():
-            if type(key) is not str:
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
-            if type(item) is str:
-                out.append(sep + encode_basestring_ascii(key) + ": "
-                           + encode_basestring_ascii(item))
-            else:
-                out.append(sep + encode_basestring_ascii(key) + ": ")
-                _emit(item, inner, out)
-            sep = "," + inner
-        out.append(newline + "}")
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            out.append("[]")
-            return
-        inner = newline + "  "
-        sep = "[" + inner
-        for item in value:
-            out.append(sep)
-            _emit(item, inner, out)
-            sep = "," + inner
-        out.append(newline + "]")
-    elif type(value) is _SnapshotsArray:
-        _emit_snapshots(value.snapshots, newline, out)
-    else:
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+# The top-level `snapshots` key as written with indent=2. A string never
+# holds a raw newline and a nested key is indented further, so the text
+# occurs once in a document, at that key.
+_SNAPSHOTS_KEY = '\n  "snapshots": '
 
 
 class _SnapshotsArray:
@@ -345,9 +313,9 @@ class _Memo(dict):
         return text
 
 
-def _emit_snapshots(snapshots: tuple[Snapshot, ...], newline: str,
-                    out: list[str]) -> None:
-    """Append the JSON array of a run's snapshots, one piece per snapshot.
+def _emit_snapshots(snapshots: tuple[Snapshot, ...], out: list[str]) -> None:
+    """Append the JSON array of a run's snapshots, the value of a
+    top-level key, one piece per snapshot.
 
     The memos live for this call only. Each rational's quoted string is
     made once per (scale, int): the duals and certificates are read as
@@ -360,7 +328,7 @@ def _emit_snapshots(snapshots: tuple[Snapshot, ...], newline: str,
     if not snapshots:
         out.append("[]")
         return
-    i1 = newline + "  "  # a snapshot
+    i1 = "\n    "  # a snapshot
     i2 = i1 + "  "  # its keys
     i3 = i2 + "  "  # keys of duals and certificate; matching edges
     i4 = i3 + "  "  # singleton and y entries; blossoms; edge ends
@@ -421,4 +389,4 @@ def _emit_snapshots(snapshots: tuple[Snapshot, ...], newline: str,
             f'{i3}"beta": {quote(dual.beta)}{i2}}},{i2}"certificate": {{'
             f'{i3}"gamma": {in_cert[cert.gamma_units]},{i3}"y": {y},{i3}"z": {z}{i2}}}{i1}}}')
         sep = ","
-    out.append(newline + "]")
+    out.append("\n  ]")

@@ -455,6 +455,7 @@ class TestInputErrors:
     @pytest.mark.parametrize("text, message", [
         ("p edge 2 1\np edge 2 1\ne 1 2 1\n", "line 2: duplicate header"),
         ("p edge 0 0\n", "line 1: invalid header counts"),
+        ("p edge 99999999999999999999999 1\ne 1 2 1\n", "line 1: node count"),
         ("p edge 2 1\ne 1 2\n", "line 2: malformed edge line"),
         ("p edge 2 1\nx 1 2 1\n", "line 2: unrecognized line"),
         ("c no header\n", "missing 'p edge' header"),

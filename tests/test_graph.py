@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -80,6 +81,12 @@ class TestParseInstance:
         with pytest.raises(ParseError) as err:
             parse_instance(text)
         assert err.value.line == line
+
+    def test_node_count_beyond_an_index_rejected_on_its_line(self):
+        with pytest.raises(ParseError, match="^line 2: node count") as err:
+            parse_instance(f"c big\np edge {sys.maxsize + 1} 1\ne 1 2 1")
+        assert err.value.line == 2
+        assert parse_instance(f"p edge {sys.maxsize} 0").node_count == sys.maxsize
 
     def test_bad_weight(self):
         with pytest.raises(ParseError):
