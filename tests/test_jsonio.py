@@ -145,7 +145,9 @@ def test_dumps_matches_json(value):
     assert jsonio.dumps(value) == json.dumps(value, indent=2) + "\n"
 
 
-@pytest.mark.parametrize("value", [Fraction(1, 2), {"x": Fraction(1)}, {"s": {1, 2}}])
+@pytest.mark.parametrize("value", [
+    Fraction(1, 2), {"x": Fraction(1)}, {"witness": frozenset({0, 1})},
+    {(0, 1): "edge"}, {"s": {1, 2}}])
 def test_dumps_rejects_other_types(value):
     with pytest.raises(TypeError):
         jsonio.dumps(value)
