@@ -27,10 +27,9 @@ on the completion's own graph, matching and certificate.
 
 from __future__ import annotations
 
-from collections import defaultdict, namedtuple
+from collections import namedtuple
 from fractions import Fraction
-from functools import cached_property
-from itertools import chain, compress, count
+from itertools import chain, compress, count, repeat
 from math import lcm
 from operator import ne
 from typing import Iterable
@@ -100,48 +99,29 @@ class _RunChecker:
     """`check_cardinality_certificate` on a run's snapshots, in order. It keeps
     the last matching and its edges' indices, weight, scale, y, gamma, value
     per distinct z set and F1 violators, and each edge's z sum and left-hand
-    side. The first check finds the matched edges in one scan of the edges,
-    later ones in the instance's pair index. It diffs each certificate with
-    the kept one, never with engine state, and recomputes only edges at a
-    node whose y_v + gamma/2 moved or in a z set that moved."""
+    side. It finds edges only through `Instance._incident`. It diffs each
+    certificate with the kept one, never with engine state, and recomputes
+    only edges at a node whose y_v + gamma/2 moved or in a z set that moved
+    (each edge met once, at its lower end)."""
 
     def __init__(self, inst: Instance):
         self.inst = inst
         self.pairs, self.weight_units, self.scale, self.y = frozenset(), 0, None, ()
         self.matched: dict[tuple[int, int], int] = {}  # matched edge pair -> index
 
-    # The incidence maps are built on first use: a check of one snapshot
-    # rechecks every edge and needs neither unless it has z sets.
-    @cached_property
-    def incident(self) -> defaultdict[int, list[int]]:
-        incident = defaultdict(list)
-        for i, (u, v, _) in enumerate(self.inst.edges):
-            incident[u].append(i)
-            incident[v].append(i)
-        return incident
-
-    @cached_property
-    def below(self) -> defaultdict[int, list[tuple[int, int]]]:
-        below = defaultdict(list)  # (edge, upper end) by lower end
-        for i, (u, v, _) in enumerate(self.inst.edges):
-            below[u].append((i, v))
-        return below
-
     def check(self, m: Matching, cert: CardinalityCertificate) -> list[Violation]:
         inst, edges, matched = self.inst, self.inst.edges, self.matched
+        incident = inst._incident
         weight_scale, weights = inst.scaled_weights
         for pair in self.pairs - m.edges:
             if pair in matched:
                 self.weight_units -= weights[matched.pop(pair)]
-        entered = m.edges - self.pairs
-        if entered and self.scale is None:
-            upper = dict(entered)
-            found = {(u, v): e for e, (u, v, _) in enumerate(edges) if upper.get(u) == v}
-        else:
-            index = inst._pair_index
-            found = {pair: index[pair] for pair in entered if pair in index}
-        matched.update(found)
-        self.weight_units += sum(weights[e] for e in found.values())
+        for pair in m.edges - self.pairs:
+            try:
+                matched[pair] = e = inst.edge_index(*pair)
+            except KeyError:  # a non-edge: reported below
+                continue
+            self.weight_units += weights[e]
         self.pairs = m.edges
         self.weight = Fraction(self.weight_units, weight_scale) \
             if len(matched) == len(m) else None  # None: a matched non-edge
@@ -171,13 +151,14 @@ class _RunChecker:
             shift, odd = divmod(self.gamma - gamma, 2)
             moved = range(len(y)) if odd else \
                 compress(count(), map(ne, y, map(shift.__add__, self.y)))
-            recheck = set(chain.from_iterable(map(self.incident.__getitem__, moved)))
+            recheck = set(chain.from_iterable(map(incident.get, moved, repeat(()))))
         zin, old = self.zin, self.zmap
         for nodes in {nodes for nodes, _ in zmap.items() ^ old.items()}:
             delta = zmap.get(nodes, 0) - old.get(nodes, 0)
             for x in nodes if delta else ():
-                for e, v in self.below[x]:
-                    if v in nodes:
+                for e in incident.get(x, ()):
+                    u, v, _ = edges[e]
+                    if u == x and v in nodes:
                         zin[e] += delta
                         recheck.add(e)
         self.y, self.gamma, self.zmap = y, gamma, zmap

@@ -384,6 +384,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except MemoryError:  # a node count the header allows but the process cannot hold
+        print("error: out of memory; the instance is too large for this process",
+              file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

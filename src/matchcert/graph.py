@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import re
 import sys
-from collections import namedtuple
+from collections import defaultdict, namedtuple
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -83,6 +83,9 @@ class Instance(namedtuple("Instance", "node_count edges")):
 
     Edge order is preserved; the solver uses it as a deterministic scan
     order, so two textually identical files produce identical runs.
+
+    `_incident` is the one edge lookup: `edge_index`, `has_edge` and the
+    certificate checker all find edges through it.
     """
 
     # No __slots__: the cached properties keep their values in __dict__.
@@ -131,8 +134,14 @@ class Instance(namedtuple("Instance", "node_count edges")):
         return cls(node_count, tuple(normalized))
 
     @cached_property
-    def _pair_index(self) -> dict[tuple[int, int], int]:
-        return {(e.u, e.v): i for i, e in enumerate(self.edges)}
+    def _incident(self) -> dict[int, list[int]]:
+        """Node -> indices of its edges, in input order, built on first use.
+        A dict, so an id outside 0..node_count-1 has no edges."""
+        incident = defaultdict(list)
+        for i, (u, v, _) in enumerate(self.edges):
+            incident[u].append(i)
+            incident[v].append(i)
+        return dict(incident)
 
     @cached_property
     def scaled_weights(self) -> tuple[int, tuple[int, ...]]:
@@ -159,12 +168,17 @@ class Instance(namedtuple("Instance", "node_count edges")):
         """Index of the edge {u, v}; raises KeyError if absent."""
         if u > v:
             u, v = v, u
-        return self._pair_index[(u, v)]
+        for i in self._incident.get(u, ()):  # the lower end's edges
+            if self.edges[i][:2] == (u, v):
+                return i
+        raise KeyError((u, v))
 
     def has_edge(self, u: int, v: int) -> bool:
-        if u > v:
-            u, v = v, u
-        return (u, v) in self._pair_index
+        try:
+            self.edge_index(u, v)
+        except KeyError:
+            return False
+        return True
 
     def min_weight(self) -> Fraction:
         """Smallest edge weight (0 for an edgeless graph), found on the
@@ -363,8 +377,9 @@ def parse_instance(source: Union[str, IO[str], Iterable[str]]) -> Instance:
     """
     node_count: int | None = None
     expected_edges = 0
-    triples: list[tuple[int, int, Fraction]] = []
+    edges: list[Edge] = []
     seen_pairs: set[tuple[int, int]] = set()
+    weights: dict[str, Fraction] = {}  # weight text -> its value, parsed once
 
     for lineno, raw in enumerate(_lines(source), start=1):
         line = raw.strip()
@@ -394,10 +409,11 @@ def parse_instance(source: Union[str, IO[str], Iterable[str]]) -> Instance:
                 u, v = parse_natural(fields[1]), parse_natural(fields[2])
             except ValueError:
                 raise ParseError(f"malformed node id in {line!r}", lineno)
-            try:
-                w = parse_rational(fields[3])
-            except ValueError:
-                raise ParseError(f"invalid weight {fields[3]!r}", lineno)
+            if fields[3] not in weights:
+                try:
+                    weights[fields[3]] = parse_rational(fields[3])
+                except ValueError:
+                    raise ParseError(f"invalid weight {fields[3]!r}", lineno)
             if u == v:
                 raise ParseError(f"self-loop at node {u}", lineno)
             if not (1 <= u <= node_count and 1 <= v <= node_count):
@@ -406,15 +422,15 @@ def parse_instance(source: Union[str, IO[str], Iterable[str]]) -> Instance:
             if pair in seen_pairs:
                 raise ParseError(f"duplicate edge {{{u}, {v}}}", lineno)
             seen_pairs.add(pair)
-            triples.append((pair[0], pair[1], w))
+            edges.append(Edge(pair[0], pair[1], weights[fields[3]]))
         else:
             raise ParseError(f"unrecognized line {line!r}", lineno)
 
     if node_count is None:
         raise ParseError("missing 'p edge' header", 1)
-    if len(triples) != expected_edges:
-        raise ParseError(f"header promised {expected_edges} edges, found {len(triples)}", 1)
-    return Instance.from_edges(node_count, triples)
+    if len(edges) != expected_edges:
+        raise ParseError(f"header promised {expected_edges} edges, found {len(edges)}", 1)
+    return Instance(node_count, tuple(edges))
 
 
 def format_instance(inst: Instance) -> str:

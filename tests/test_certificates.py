@@ -296,6 +296,16 @@ class TestCardinalityCertificate:
         assert [(v.constraint, v.witness) for v in verdict.violations] == \
             [("matching-edge", (0, 2))]
 
+    @pytest.mark.parametrize("pair", [(-1, 3), (-1, 0)])
+    def test_negative_id_is_a_non_edge(self, pair):
+        # One edge {0, 3} on 4 nodes: neither pair is that edge, though
+        # index -1 of a per-node list would be node 3.
+        inst = Instance.from_edges(4, [(0, 3, 5)])
+        cert = CardinalityCertificate(1, 0, (0, 0, 0, 0), (), 1)
+        verdict = check_cardinality_certificate(inst, Matching(frozenset({pair})), cert)
+        assert [(v.constraint, v.witness) for v in verdict.violations] == \
+            [("matching-edge", pair)]
+
     def test_gamma_bump_breaks_matched_edges(self, p4):
         run = solve(p4)
         snap = run.snapshots[2]

@@ -169,6 +169,17 @@ class TestSolveCommand:
         code, _, _ = run_cli(capsys, "solve", "/nonexistent/g.dimacs")
         assert code == 3
 
+    def test_out_of_memory_is_input_error(self, capsys, monkeypatch, p4_file):
+        # A node count the header allows can exceed what the process can
+        # hold. The failure is faked: a real one needs an instance too large
+        # to allocate, and with no memory cap that takes the machine's memory.
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+        monkeypatch.setattr(cli, "solve", exhausted)
+        code, out, err = run_cli(capsys, "solve", p4_file)
+        assert (code, out) == (3, "")
+        assert err.startswith("error: out of memory") and "Traceback" not in err
+
     def test_byte_identical_output(self, capsys, p4_file):
         _, out1, _ = run_cli(capsys, "solve", p4_file, "--verify")
         _, out2, _ = run_cli(capsys, "solve", p4_file, "--verify")

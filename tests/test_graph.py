@@ -5,10 +5,12 @@ from fractions import Fraction
 import pytest
 
 from matchcert.cli import figure2_instance
+from matchcert.engine import solve
 from matchcert.graph import (Instance, Matching, ParseError,
                              alternating_path_difference, format_instance,
                              matching_weight, normalize_weights, parse_instance,
                              parse_rational)
+from matchcert.reductions import build_auxiliary_completion, build_doubled_graph
 from util import (naive_min_by_cardinality, random_instance,
                   reference_path_difference)
 
@@ -142,6 +144,28 @@ class TestInstanceInvariants:
         inst = Instance.from_edges(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, 1)])
         assert inst.edge_index(3, 2) == 2
         assert inst.has_edge(3, 0) and not inst.has_edge(0, 2)
+
+    def test_edge_lookup_matches_a_scan(self, fig2):
+        """`edge_index` and `has_edge` agree with a scan of the edges on
+        every pair of ids from -2 to n + 1, either way round and u == v
+        included: a pair outside 0 <= u < v < n is never an edge."""
+        rng = random.Random(24)
+        run = solve(fig2, phases=[[1, 1, 3]])
+        instances = [random_instance(rng) for _ in range(20)] + [
+            build_auxiliary_completion(fig2, run.snapshots[2]).aux_instance,
+            build_doubled_graph(fig2)]
+        for inst in instances:
+            scan = {frozenset(e[:2]): i for i, e in enumerate(inst.edges)}
+            ids = range(-2, inst.node_count + 2)
+            for u in ids:
+                for v in ids:
+                    i = scan.get(frozenset((u, v)))
+                    assert inst.has_edge(u, v) == (i is not None)
+                    if i is None:
+                        with pytest.raises(KeyError):
+                            inst.edge_index(u, v)
+                    else:
+                        assert inst.edge_index(u, v) == i
 
 
 class TestMatching:

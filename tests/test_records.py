@@ -48,7 +48,7 @@ def _samples():
     return [
         (Edge, (0, 1, Fraction(3)), {"weight": Fraction(4)}, ()),
         (Instance, (2, (Edge(0, 1, Fraction(3)),)), {"node_count": 3},
-         ("_pair_index", "scaled_weights")),
+         ("_incident", "scaled_weights")),
         (Matching, (frozenset({(0, 1)}),), {"edges": frozenset()}, ("covered",)),
         (NormalizationRecord, (Fraction(2),), {"shift": ZERO}, ()),
         (SymmetricDifference, ("single-path", ((0, 1, 2),)), {"kind": "disconnected"}, ()),

@@ -39,12 +39,12 @@ class TestAuxiliaryCompletion:
     def test_completion_reuses_the_instance_weights(self, fig2):
         """A guard on the completion's cost, not its output: its scaled ints
         are carried over from the instance, never recomputed from the helper
-        edges' Fractions, and checking it builds no pair index over them."""
+        edges' Fractions, and checking it builds only the one edge lookup."""
         for snap in solve(fig2, phases=[[1, 1, 3]]).snapshots:
             comp = build_auxiliary_completion(fig2, snap)
             assert "scaled_weights" in vars(comp.aux_instance)
             check_perfect_certificate(comp)
-            assert "_pair_index" not in vars(comp.aux_instance)
+            assert set(vars(comp.aux_instance)) == {"scaled_weights", "_incident"}
 
     def test_perfect_snapshot_is_identity(self, p4):
         run = solve(p4)
