@@ -88,47 +88,45 @@ def _family_violations(sets: Iterable[frozenset[int]]) -> list[Violation]:
     return violations
 
 
-def non_edge_violations(inst: Instance, m: Matching) -> list[Violation]:
-    """One `matching-edge` violation per matched pair that is not an edge
-    of the instance, in ascending pair order."""
-    return [Violation("matching-edge", pair, "not an edge", "edge")
-            for pair in sorted(p for p in m.edges if not inst.has_edge(*p))]
-
-
 class _RunChecker:
     """`check_cardinality_certificate` on a run's snapshots, in order. It keeps
     the last matching and its edges' indices, weight, scale, y, gamma, value
     per distinct z set and F1 violators, and each edge's z sum and left-hand
-    side. It finds edges only through `Instance._incident`. It diffs each
-    certificate with the kept one, never with engine state, and recomputes
-    only edges at a node whose y_v + gamma/2 moved or in a z set that moved
-    (each edge met once, at its lower end)."""
+    side. It finds edges only through `Instance._incident` and looks a
+    matched pair up once, when it enters; `strays` holds the matched pairs
+    that are no edge. It diffs each certificate with the kept one, never
+    with engine state, and recomputes only edges at a node whose
+    y_v + gamma/2 moved or in a z set that moved (each edge met once, at
+    its lower end)."""
 
     def __init__(self, inst: Instance):
         self.inst = inst
         self.pairs, self.weight_units, self.scale, self.y = frozenset(), 0, None, ()
         self.matched: dict[tuple[int, int], int] = {}  # matched edge pair -> index
+        self.strays: set[tuple[int, int]] = set()  # matched pairs that are no edge
 
     def check(self, m: Matching, cert: CardinalityCertificate) -> list[Violation]:
-        inst, edges, matched = self.inst, self.inst.edges, self.matched
-        incident = inst._incident
+        inst, matched, strays = self.inst, self.matched, self.strays
+        edges, incident = inst.edges, inst._incident
         weight_scale, weights = inst.scaled_weights
         for pair in self.pairs - m.edges:
             if pair in matched:
                 self.weight_units -= weights[matched.pop(pair)]
+            else:
+                strays.remove(pair)
         for pair in m.edges - self.pairs:
             try:
                 matched[pair] = e = inst.edge_index(*pair)
-            except KeyError:  # a non-edge: reported below
-                continue
-            self.weight_units += weights[e]
+            except KeyError:
+                strays.add(pair)
+            else:
+                self.weight_units += weights[e]
         self.pairs = m.edges
-        self.weight = Fraction(self.weight_units, weight_scale) \
-            if len(matched) == len(m) else None  # None: a matched non-edge
+        self.weight = None if strays else Fraction(self.weight_units, weight_scale)
         y, gamma, z = cert.y_units, cert.gamma_units, cert.z_units
         violations = _family_violations(nodes for nodes, _ in z)
-        if self.weight is None:
-            violations += non_edge_violations(inst, m)
+        violations += [Violation("matching-edge", pair, "not an edge", "edge")
+                       for pair in sorted(strays)]
         if len(m) != cert.k:
             violations.append(Violation("cardinality", None, len(m), cert.k))
         if y and max(y) > 0:

@@ -200,9 +200,10 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     if args.snapshots:
         _write_text(args.snapshots, text)
 
-    final = run.final
+    final = run.final  # the JSON keeps shifted weights; the summary undoes the shift
     print(f"status {run.status}; {len(run.snapshots)} snapshots; "
-          f"final |M| = {final.cardinality}, weight {final.weight}",
+          f"final |M| = {final.cardinality}, "
+          f"weight {final.weight - final.cardinality * record.shift}",
           file=sys.stderr)
 
     if exit_code == EXIT_OK and run.infeasible:
@@ -263,7 +264,9 @@ def _cmd_counterexample(args: argparse.Namespace) -> int:
     amounts = _parse_amounts_option(args.amounts)
     report = compare_dual_policies(figure2_instance(), amounts)
     sys.stdout.write(jsonio.dumps(scenario_report_to_dict(report)))
-    if report.divergence is None:
+    if report.scripted_error is not None:
+        print(f"scripted run refused: {report.scripted_error}", file=sys.stderr)
+    elif report.divergence is None:
         print("no divergence: the scripted run stayed cardinality-optimal",
               file=sys.stderr)
     else:

@@ -84,8 +84,8 @@ class Instance(namedtuple("Instance", "node_count edges")):
     Edge order is preserved; the solver uses it as a deterministic scan
     order, so two textually identical files produce identical runs.
 
-    `_incident` is the one edge lookup: `edge_index`, `has_edge` and the
-    certificate checker all find edges through it.
+    `_incident` is the one edge lookup: `edge_index` and the certificate
+    checker find edges through it.
     """
 
     # No __slots__: the cached properties keep their values in __dict__.
@@ -172,13 +172,6 @@ class Instance(namedtuple("Instance", "node_count edges")):
             if self.edges[i][:2] == (u, v):
                 return i
         raise KeyError((u, v))
-
-    def has_edge(self, u: int, v: int) -> bool:
-        try:
-            self.edge_index(u, v)
-        except KeyError:
-            return False
-        return True
 
     def min_weight(self) -> Fraction:
         """Smallest edge weight (0 for an edgeless graph), found on the

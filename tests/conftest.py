@@ -1,10 +1,16 @@
 import os
+import sys
 from pathlib import Path
 
 import pytest
 
-from matchcert.cli import figure2_instance
-from matchcert.graph import Instance
+# Write no bytecode into src/, in this process or in the commands the tests
+# start: a checkout's first run should find no __pycache__ left by the tests.
+sys.dont_write_bytecode = True
+os.environ["PYTHONDONTWRITEBYTECODE"] = "1"
+
+from matchcert.cli import figure2_instance  # noqa: E402
+from matchcert.graph import Instance  # noqa: E402
 
 # pyproject's `pythonpath` puts src/ on this process's path; commands the
 # tests start as subprocesses need it too.

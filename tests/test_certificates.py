@@ -418,6 +418,22 @@ class TestVerifyRun:
         assert any(v.constraint.startswith("snapshot-weight")
                    for v in verdict.violations)
 
+    def test_non_edge_is_dropped_when_it_leaves(self):
+        # Path 1-2-3-4-5: k=1 matches the non-edge {1, 3}, and k=2's matching
+        # no longer holds it. It is reported at k=1 only, and k=2's weight is
+        # checked again, so a forged k=2 weight is caught.
+        path5 = Instance.from_edges(5, [(0, 1, 3), (1, 2, 1), (2, 3, 5), (3, 4, 2)])
+        run = solve(path5)
+        zero, one, two = run.snapshots
+        bad = run._replace(snapshots=(
+            zero, one._replace(matching=Matching.from_pairs([(0, 2)])),
+            two._replace(weight=two.weight + 1)))
+        verdict = verify_run(path5, bad)
+        assert [(v.constraint, v.witness, v.lhs, v.rhs) for v in verdict.violations
+                if v.constraint.startswith(("matching-edge", "snapshot-weight"))] == [
+            ("matching-edge:k=1", (0, 2), "not an edge", "edge"),
+            ("snapshot-weight:k=2", None, two.weight + 1, two.weight)]
+
     def test_status_must_agree_with_final_matching(self, p4):
         run = solve(p4)
         assert run.status == STATUS_PERFECT

@@ -106,6 +106,18 @@ class TestSolveCommand:
         assert data["normalization"]["shift"] == "5"
         assert data["oracle_check"]["pass"] is True
 
+    def test_summary_weight_in_the_instance_units(self, capsys, tmp_path):
+        # The one edge weighs -5/3: the JSON holds it shifted to 0 with the
+        # shift, and the stderr summary the weight of the instance as given.
+        path = tmp_path / "neg.dimacs"
+        path.write_text("p edge 3 1\ne 1 2 -5/3\n")
+        code, out, err = run_cli(capsys, "solve", str(path))
+        assert code == 0
+        data = json.loads(out)
+        assert data["normalization"]["shift"] == "5/3"
+        assert data["snapshots"][-1]["weight"] == "0"
+        assert err.endswith("final |M| = 1, weight -5/3\n")
+
     def test_scripted_policy_from_file(self, capsys, fig2_scripted):
         fig2_path, policy = fig2_scripted
         code, out, _ = run_cli(capsys, "solve", fig2_path, "--policy", policy)
@@ -557,12 +569,16 @@ class TestCounterexampleCommand:
         assert data["scripted"][-1] == {"k": 4, "weight": "3"}
 
     def test_infeasible_amounts_reported_not_fatal(self, capsys):
-        code, out, _ = run_cli(capsys, "counterexample", "--amounts", "9,0,0")
-        assert code == 0
-        data = json.loads(out)
-        assert data["scripted"] is None
-        assert data["scripted_error"]
-        assert data["uniform"][-1] == {"k": 4, "weight": "3"}
+        # An edge left overloaded, or more amounts than trees: the scripted
+        # run is refused, and stderr says so rather than judging it.
+        for amounts in ("9,0,0", ",".join(["1"] * 11)):
+            code, out, err = run_cli(capsys, "counterexample", "--amounts", amounts)
+            assert code == 0
+            data = json.loads(out)
+            assert data["scripted"] is None
+            assert data["scripted_error"]
+            assert data["uniform"][-1] == {"k": 4, "weight": "3"}
+            assert err == f"scripted run refused: {data['scripted_error']}\n"
 
     def test_infeasible_amounts_name_edge_ends(self, capsys):
         code, out, _ = run_cli(capsys, "counterexample", "--amounts", "100,1,1")

@@ -12,8 +12,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import lcm
 
-from matchcert.certificates import (Verdict, Violation, _family_violations,
-                                    non_edge_violations, verify_run)
+from matchcert.certificates import Verdict, Violation, _family_violations, verify_run
 from matchcert.engine import (STATUS_NO_PERFECT, STATUS_PERFECT, BlossomDual,
                               CardinalityCertificate, DualState, EngineState,
                               RunResult, ShrunkenView, apply_dual_update,
@@ -102,6 +101,15 @@ def edge_load(dual: DualState, u: int, v: int) -> Fraction:
     return total
 
 
+def reference_non_edges(inst: Instance, m: Matching) -> list[Violation]:
+    """One `matching-edge` violation per matched pair missing from the
+    instance's edge list, in ascending pair order: the matching's pairs
+    minus the set of (u, v) in `inst.edges`, shared with no package code."""
+    edges = {(u, v) for u, v, _ in inst.edges}
+    return [Violation("matching-edge", pair, "not an edge", "edge")
+            for pair in sorted(m.edges - edges)]
+
+
 def reference_perfect_check(inst: Instance, m: Matching, dual: DualState) -> Verdict:
     """The cut-form check of a perfect matching m against duals `dual`, in
     Fractions from the definition (`edge_load`): the blossoms form a
@@ -114,7 +122,7 @@ def reference_perfect_check(inst: Instance, m: Matching, dual: DualState) -> Ver
     violations = _family_violations(b.nodes for b in dual.blossoms)
     violations += [Violation("blossom-nonneg", b.nodes, b.pi, zero)
                    for b in dual.blossoms if b.pi < 0]
-    violations += non_edge_violations(inst, m)
+    violations += reference_non_edges(inst, m)
     for u, v, weight in inst.edges:
         load = edge_load(dual, u, v)
         if load > weight:
@@ -371,7 +379,7 @@ def reference_check_certificate(inst: Instance, m: Matching,
     the run checker must equal, violation for violation."""
     zero = Fraction(0)
     violations = _family_violations(nodes for nodes, _ in cert.z_units)
-    violations += non_edge_violations(inst, m)
+    violations += reference_non_edges(inst, m)
     if len(m) != cert.k:
         violations.append(Violation("cardinality", None, len(m), cert.k))
 
