@@ -18,7 +18,7 @@ from functools import cache
 from typing import Any, Sequence
 
 from . import certificates, jsonio, oracle, reductions
-from .engine import RunResult, solve
+from .engine import RunResult, Snapshot, solve
 from .graph import (Instance, ParseError, as_rational, format_instance,
                     normalize_weights, parse_instance, parse_natural,
                     parse_rational)
@@ -219,9 +219,12 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _load_run(path: str, inst: Instance) -> tuple[RunResult, Instance]:
+def _load_run(path: str, inst: Instance,
+              k: int | None = None) -> tuple[RunResult | Snapshot, Instance]:
     """Load a snapshots file, check it was made for this instance, and
-    renormalize the instance to match it."""
+    renormalize the instance to match it. Returns the whole run, or with
+    `k` only its first snapshot of cardinality k, the one snapshot decoded.
+    A file without `normalization` was made with weight shift 0."""
     import json
 
     with open(path, "r", encoding="utf-8") as handle:
@@ -229,23 +232,26 @@ def _load_run(path: str, inst: Instance) -> tuple[RunResult, Instance]:
             data = json.load(handle)
         except RecursionError:
             raise ValueError(f"{path}: JSON nested too deeply to read")
-    run = jsonio.run_result_from_dict(data)
-    for snap in run.snapshots:
+    if k is None:
+        run = jsonio.run_result_from_dict(data)
+        snapshots = run.snapshots
+    else:
+        run = jsonio.snapshot_from_dict(data, k)
+        snapshots = (run,)
+    for snap in snapshots:
         if len(snap.dual_state.pi_units) != inst.node_count:
             raise ValueError(
                 f"snapshot k={snap.cardinality} has duals for "
                 f"{len(snap.dual_state.pi_units)} nodes, but the instance "
                 f"has {inst.node_count}")
-    normalization = jsonio.field(data, "normalization", dict, {})
-    if normalization:
-        recorded = jsonio.field(normalization, "shift", str)
-        normalized, record = normalize_weights(inst)
-        if jsonio.str_to_rational(recorded) != record.shift:
-            raise ValueError(
-                f"snapshots were produced with weight shift {recorded}, but the "
-                f"instance normalizes with shift {record.shift}")
-        inst = normalized
-    return run, inst
+    normalization = jsonio.field(data, "normalization", dict, {"shift": "0"})
+    recorded = jsonio.field(normalization, "shift", str)
+    normalized, record = normalize_weights(inst)
+    if jsonio.str_to_rational(recorded) != record.shift:
+        raise ValueError(
+            f"snapshots were produced with weight shift {recorded}, but the "
+            f"instance normalizes with shift {record.shift}")
+    return run, normalized
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -287,12 +293,7 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
     if not path:
         raise ValueError("--auxiliary expects <snapshots.json>:<k>")
     k = parse_natural(k_text)
-    run, inst = _load_run(path, inst)
-    for snap in run.snapshots:
-        if snap.cardinality == k:
-            break
-    else:
-        raise ValueError(f"run has no snapshot of cardinality {k}")
+    snap, inst = _load_run(path, inst, k)
 
     comp = reductions.build_auxiliary_completion(inst, snap)
     verdict = reductions.check_perfect_certificate(comp)

@@ -151,17 +151,27 @@ class Instance(namedtuple("Instance", "node_count edges")):
         return scale, tuple(e.weight.numerator * (scale // e.weight.denominator)
                             for e in self.edges)
 
-    def _extended(self, node_count: int, edges: Iterable[Edge],
-                  weights: Iterable[int]) -> "Instance":
+    def _extended(self, node_count: int, edges: Iterable[Edge], weights: Iterable[int],
+                  incident: dict[int, list[int]] | None = None) -> "Instance":
         """An instance on `node_count` nodes with this one's edges followed
         by `edges`, whose weights times this instance's scale are the ints
         `weights`. Its `scaled_weights` carries this one's ints over rather
         than reading every Fraction again, so each new weight's denominator
         must divide this instance's scale (as 0 and this instance's own
-        weights do)."""
+        weights do).
+
+        `incident`, when given, maps every node with a new edge to the
+        indices of its new edges, in order, as the caller's layout of
+        `edges` places them. The new instance's `_incident` is then this
+        one's lists followed by those, with no pass over the edges."""
         scale, own = self.scaled_weights
         inst = Instance(node_count, self.edges + tuple(edges))
         inst.__dict__["scaled_weights"] = scale, own + tuple(weights)
+        if incident is not None:
+            index = {**self._incident}
+            for v, new in incident.items():
+                index[v] = index.get(v, []) + new
+            inst.__dict__["_incident"] = index
         return inst
 
     def edge_index(self, u: int, v: int) -> int:

@@ -21,6 +21,8 @@ the value comes in.
 
 The reader fills the same int form: each snapshot's duals at the lcm of
 their denominators, straight from a memo of each distinct string.
+`run_result_from_dict` decodes every snapshot of a run;
+`snapshot_from_dict` makes the same top-level checks and decodes one.
 """
 
 from __future__ import annotations
@@ -179,7 +181,9 @@ def run_result_to_dict(run: RunResult) -> dict[str, Any]:
     }
 
 
-def run_result_from_dict(data: Any) -> RunResult:
+def _run_fields(data: Any) -> tuple[list[Any], str, str, Fraction, _RationalReader]:
+    """A run's checked top-level fields: its non-empty snapshots array,
+    status, mode and beta, and the reader that read beta."""
     snapshots = field(data, "snapshots", list)
     if not snapshots:
         raise ValueError("snapshots file: 'snapshots' is empty; "
@@ -191,12 +195,29 @@ def run_result_from_dict(data: Any) -> RunResult:
     if mode not in ("perfect", "maximum"):
         raise ValueError(f"snapshots file: unknown mode {mode!r}")
     read = _RationalReader()
+    return snapshots, status, mode, read(field(data, "beta", str, "0")), read
+
+
+def run_result_from_dict(data: Any) -> RunResult:
+    snapshots, status, mode, beta, read = _run_fields(data)
     return RunResult(
         snapshots=tuple(_snapshot_from_dict(s, read) for s in snapshots),
         status=status,
         mode=mode,
-        beta=read(field(data, "beta", str, "0")),
+        beta=beta,
     )
+
+
+def snapshot_from_dict(data: Any, k: int) -> Snapshot:
+    """The first snapshot of cardinality k in a run's top-level object,
+    after the same top-level checks as `run_result_from_dict`. Only that
+    snapshot is decoded: the ones before it are read up to their int `k`,
+    and the ones after it not at all."""
+    snapshots, _, _, _, read = _run_fields(data)
+    for snap in snapshots:
+        if field(snap, "k", int) == k:
+            return _snapshot_from_dict(snap, read)
+    raise ValueError(f"run has no snapshot of cardinality {k}")
 
 
 def dual_state_to_dict(dual: DualState) -> dict[str, Any]:

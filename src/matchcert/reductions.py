@@ -14,7 +14,9 @@ cardinality certificate, with the same checker (see
 `check_perfect_certificate`). The completed instance's scaled int weights
 are the original's cached ones plus a 0 per helper edge
 (`Instance._extended`), so no Fraction is read again; the doubled graph
-reuses them the same way.
+reuses them the same way. The completion's edge index
+(`Instance._incident`) follows from its layout: helper i's edge to
+original node v has index m + i*n + v, so no pass over its edges builds it.
 
 The doubled graph joins a mirror copy of the instance along weight-0
 bridge edges; its minimum perfect-matching weight is exactly twice the
@@ -72,7 +74,11 @@ def build_auxiliary_completion(inst: Instance, snapshot: Snapshot) -> AuxiliaryC
     # tuple.__new__ skips Edge's own __new__, a Python call per edge.
     helper_edges = [tuple.__new__(Edge, (v, helper, ZERO))
                     for helper in range(n, n + k) for v in range(n)]
-    aux = inst._extended(n + k, helper_edges, (0,) * len(helper_edges))
+    # Helper i's edge to node v has index m + i*n + v.
+    m = len(inst.edges)
+    incident = {v: list(range(m + v, m + k * n, n)) for v in range(n)}
+    incident.update((n + i, list(range(m + i * n, m + i * n + n))) for i in range(k))
+    aux = inst._extended(n + k, helper_edges, (0,) * len(helper_edges), incident)
 
     pairs = set(snapshot.matching.edges)
     pairs.update((exposed[i], n + i) for i in range(k))

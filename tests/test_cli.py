@@ -545,6 +545,26 @@ class TestInputErrors:
         assert_input_error(run_cli(capsys, "verify", str(path), "--run", str(run_path)),
                            "snapshots were produced with weight shift 5")
 
+    @pytest.mark.parametrize("tamper", [
+        lambda d: d.pop("normalization"),
+        lambda d: d.update(normalization={"shift": "0"}),
+    ], ids=["absent", "zero"])
+    def test_run_without_the_weight_shift(self, capsys, tmp_path, tamper):
+        """A file with no `normalization` was made with shift 0, the same
+        as one that records shift 0."""
+        path = tmp_path / "neg4.dimacs"
+        path.write_text("p edge 4 3\ne 1 2 -3\ne 2 3 1\ne 3 4 -2\n")
+        run_path = tmp_path / "run.json"
+        run_cli(capsys, "solve", str(path), "--snapshots", str(run_path))
+        data = json.loads(run_path.read_text())
+        tamper(data)
+        run_path.write_text(json.dumps(data))
+        message = ("snapshots were produced with weight shift 0, "
+                   "but the instance normalizes with shift 3")
+        for argv in (["verify", str(path), "--run", str(run_path)],
+                     ["reduce", str(path), "--auxiliary", f"{run_path}:1"]):
+            assert_input_error(run_cli(capsys, *argv), message)
+
     def test_auxiliary_without_k(self, capsys, p4_file):
         assert_input_error(run_cli(capsys, "reduce", p4_file, "--auxiliary", "run.json"),
                            "--auxiliary expects <snapshots.json>:<k>")
@@ -585,6 +605,22 @@ class TestCounterexampleCommand:
         assert code == 0
         assert json.loads(out)["scripted_error"] == \
             "edge-slack: witness=[1, 2] lhs=101 rhs=3"
+
+
+def rewrite_snapshots(run_path, edit):
+    """Apply `edit` to the snapshots array of the file at run_path."""
+    data = json.loads(run_path.read_text())
+    edit(data["snapshots"])
+    run_path.write_text(json.dumps(data))
+
+
+# Two ways to make one snapshot malformed: a singleton dual that is no
+# rational, and a matching that is no list.
+SPOILED_SNAPSHOTS = [
+    pytest.param(lambda snap: snap["duals"]["singletons"].update({"2": "1/x"}),
+                 id="bad-singleton"),
+    pytest.param(lambda snap: snap.update(matching=5), id="non-list-matching"),
+]
 
 
 class TestReduceCommand:
@@ -653,6 +689,54 @@ class TestReduceCommand:
                 for v in data["check"]["violations"]] == \
             [("cs-matched-edge-tight", [8, 10], "-2", "0")]
         assert err == "1 violations\n"
+
+    @pytest.mark.parametrize("j", [0, 2])
+    @pytest.mark.parametrize("spoil", SPOILED_SNAPSHOTS)
+    def test_auxiliary_decodes_snapshot_k_alone(self, capsys, tmp_path, p4_file,
+                                                spoil, j):
+        """A malformed snapshot other than k leaves `reduce` as it was;
+        `verify`, which reads the whole file, refuses it."""
+        run_path = tmp_path / "run.json"
+        run_cli(capsys, "solve", p4_file, "--snapshots", str(run_path))
+        argv = ["reduce", p4_file, "--auxiliary", f"{run_path}:1"]
+        intact = run_cli(capsys, *argv)
+        assert intact[0] == 0
+        rewrite_snapshots(run_path, lambda snaps: spoil(snaps[j]))
+        assert run_cli(capsys, *argv) == intact
+        assert run_cli(capsys, "verify", p4_file, "--run", str(run_path))[0] == 3
+
+    @pytest.mark.parametrize("spoil", SPOILED_SNAPSHOTS)
+    def test_auxiliary_malformed_snapshot_k_is_input_error(self, capsys, tmp_path,
+                                                           p4_file, spoil):
+        run_path = tmp_path / "run.json"
+        run_cli(capsys, "solve", p4_file, "--snapshots", str(run_path))
+        rewrite_snapshots(run_path, lambda snaps: spoil(snaps[1]))
+        code, out, err = run_cli(capsys, "reduce", p4_file, "--auxiliary", f"{run_path}:1")
+        assert (code, out) == (3, "")
+        assert "Traceback" not in err
+
+    def test_auxiliary_snapshot_k_of_another_node_count(self, capsys, tmp_path, p4_file):
+        run_path = tmp_path / "run.json"
+        run_cli(capsys, "solve", p4_file, "--snapshots", str(run_path))
+        rewrite_snapshots(run_path, lambda snaps: snaps[1]["duals"]["singletons"].pop("4"))
+        assert_input_error(
+            run_cli(capsys, "reduce", p4_file, "--auxiliary", f"{run_path}:1"),
+            "snapshot k=1 has duals for 3 nodes, but the instance has 4")
+
+    def test_auxiliary_uses_the_first_snapshot_of_cardinality_k(self, capsys, tmp_path,
+                                                               p4_file):
+        """Of two snapshots with k=1, the first is completed: a forged copy
+        after it changes nothing, and before it fails the check."""
+        run_path = tmp_path / "run.json"
+        run_cli(capsys, "solve", p4_file, "--snapshots", str(run_path))
+        argv = ["reduce", p4_file, "--auxiliary", f"{run_path}:1"]
+        intact = run_cli(capsys, *argv)
+        forged = json.loads(run_path.read_text())["snapshots"][1]
+        forged["duals"]["singletons"]["2"] = "3/2"
+        rewrite_snapshots(run_path, lambda snaps: snaps.insert(2, forged))
+        assert run_cli(capsys, *argv) == intact
+        rewrite_snapshots(run_path, lambda snaps: snaps.insert(1, forged))
+        assert run_cli(capsys, *argv)[0] == 2
 
     def test_auxiliary_missing_snapshot(self, capsys, tmp_path, p4_file):
         run_path = tmp_path / "run.json"

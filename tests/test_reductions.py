@@ -39,12 +39,32 @@ class TestAuxiliaryCompletion:
     def test_completion_reuses_the_instance_weights(self, fig2):
         """A guard on the completion's cost, not its output: its scaled ints
         are carried over from the instance, never recomputed from the helper
-        edges' Fractions, and checking it builds only the one edge lookup."""
+        edges' Fractions, its one edge lookup comes with it, and checking it
+        builds nothing more."""
         for snap in solve(fig2, phases=[[1, 1, 3]]).snapshots:
             comp = build_auxiliary_completion(fig2, snap)
-            assert "scaled_weights" in vars(comp.aux_instance)
+            assert set(vars(comp.aux_instance)) == {"scaled_weights", "_incident"}
             check_perfect_certificate(comp)
             assert set(vars(comp.aux_instance)) == {"scaled_weights", "_incident"}
+
+    def test_edge_index_follows_the_layout(self):
+        """The completion's `_incident`, derived from where its helper edges
+        sit, equals the one a scan of its edges builds; helper i's edge to
+        node v has index m + i*n + v. Snapshots with 0, 1 and several
+        exposed nodes are each met."""
+        rng = random.Random(26)
+        exposed_counts = set()
+        for _ in range(30):
+            inst = random_instance(rng, max_nodes=11)
+            n, m = inst.node_count, len(inst.edges)
+            for snap in solve(inst).snapshots:
+                comp = build_auxiliary_completion(inst, snap)
+                aux = comp.aux_instance
+                assert aux._incident == Instance(aux.node_count, aux.edges)._incident
+                for i, v in enumerate(comp.exposed_nodes):
+                    assert aux.edge_index(v, n + i) == m + i * n + v
+                exposed_counts.add(min(len(comp.exposed_nodes), 2))
+        assert exposed_counts == {0, 1, 2}
 
     def test_perfect_snapshot_is_identity(self, p4):
         run = solve(p4)
