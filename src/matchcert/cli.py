@@ -195,10 +195,11 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         if mismatches:
             exit_code = EXIT_VERIFICATION
 
+    # The file first, so a path that cannot be written leaves stdout empty.
     text = jsonio.dumps(payload)
-    sys.stdout.write(text)
     if args.snapshots:
         _write_text(args.snapshots, text)
+    sys.stdout.write(text)
 
     final = run.final  # the JSON keeps shifted weights; the summary undoes the shift
     print(f"status {run.status}; {len(run.snapshots)} snapshots; "

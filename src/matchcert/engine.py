@@ -22,15 +22,16 @@ Design notes:
     never rebuilt. `_lifted` recomputes blossom interiors from each
     blossom's remembered odd cycle and the node its map entry covers, so
     shrinking and deshrinking cannot change the deshrunken matching.
-  * The shrunken view is carried across steps and never rebuilt. It is
-    one adjacency map, view id -> tight edges, plus `top`. `__init__`
-    builds the first; `augment` keeps it (blossoms and pi* do not
-    change); `shrink_blossom` merges the cycle's entries into the new
+  * The shrunken view is carried across steps: one adjacency map, view
+    id -> tight edges, plus `top`. One edge scan, `_tight_view`, decides
+    tightness and rejects an overloaded edge; `__init__` builds the first
+    view with it, and `apply_dual_update` validates each update with it,
+    on the view ids left after the blossoms it expands, so the scan
+    builds the next view. `augment` keeps the view (blossoms and pi* do
+    not change); `shrink_blossom` merges the cycle's entries into the new
     blossom's, whose dual is 0, drops tight edges now inside it and
     rebuilds only the lists of the cycle's neighbours, sharing every
-    other list with the previous view; `apply_dual_update` fills fresh
-    lists in the edge scan that validates the update, run on the view ids
-    left after the blossoms it expands. No view is mutated once built,
+    other list with the previous view. No view is mutated once built,
     which is what makes the sharing safe. The forest and the walk are
     dropped after every mutation and regrown on demand.
   * A view node's id is the smallest original node it contains. Each
@@ -45,11 +46,13 @@ Design notes:
     `apply_dual_update`) that is not a multiple of 1/D first multiplies D
     by the missing factor, rescaling every stored int. A snapshot's
     `DualState` and its `CardinalityCertificate` keep that form: a scale
-    plus int numerators, reduced to the smallest scale, so equal duals
-    are equal whatever D was. Values cross the API boundary as exact
-    Fractions in original units: `pi_node`, `AlphaResult.alpha`,
-    `InfeasibleUpdateError`, `Snapshot.weight`, and the read-only
-    Fraction views of `DualState` and `CardinalityCertificate`.
+    plus int numerators, reduced to the smallest scale (`_reduced`), so
+    equal duals are equal whatever D was; Fractions enter the form
+    through `graph.scaled`, as the instance's weights do. Values cross
+    the API boundary as exact Fractions in original units: `pi_node`,
+    `AlphaResult.alpha`, `InfeasibleUpdateError`, `Snapshot.weight`, and
+    the read-only Fraction views of `DualState` and
+    `CardinalityCertificate`.
   * Each node's accumulated dual pi*(v) (its own dual plus the duals of
     all blossoms containing it) is kept current: a dual update moves it
     by the step of the node's maximal set, and shrinking or expanding a
@@ -70,7 +73,7 @@ from functools import cached_property
 from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
-from .graph import Instance, Matching, RationalInput, as_rational
+from .graph import Instance, Matching, RationalInput, as_rational, scaled
 
 ZERO = Fraction(0)
 
@@ -109,14 +112,11 @@ class InfeasibleUpdateError(ValueError):
 # Frozen dual state, snapshots, run results
 
 
-def _view(units: Iterable[int], scale: int) -> tuple[Fraction, ...]:
-    """units / scale as Fractions."""
-    return tuple(Fraction(p, scale) for p in units)
-
-
-def _units(values: tuple[Fraction, ...], scale: int) -> tuple[int, ...]:
-    """Each value times scale, which every denominator divides."""
-    return tuple(q.numerator * (scale // q.denominator) for q in values)
+def _reduced(scale: int, ints: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """An int form at its smallest scale: scale and ints divided by their
+    gcd, and the very same tuple when that gcd is 1."""
+    g = gcd(scale, *ints)
+    return (scale, ints) if g == 1 else (scale // g, tuple(p // g for p in ints))
 
 
 class BlossomDual(namedtuple("BlossomDual", "nodes pi")):
@@ -155,19 +155,17 @@ class DualState(namedtuple("DualState", "scale pi_units blossom_units beta", def
     def from_fractions(cls, singleton_pi: Iterable[Fraction],
                        blossoms: Iterable[BlossomDual] = (),
                        beta: Fraction = ZERO) -> "DualState":
-        """The state of these Fraction duals, at the lcm of their
-        denominators."""
+        """The state of these Fraction duals, in their int form (`scaled`)."""
         singleton_pi, blossoms = tuple(singleton_pi), tuple(blossoms)
-        scale = lcm(*{q.denominator for q in singleton_pi},
-                    *{b.pi.denominator for b in blossoms})
-        return cls(scale, _units(singleton_pi, scale),
-                   tuple(BlossomDual(b.nodes, b.pi.numerator * (scale // b.pi.denominator))
-                         for b in blossoms),
+        n = len(singleton_pi)
+        scale, ints = scaled(singleton_pi + tuple(b.pi for b in blossoms))
+        return cls(scale, ints[:n],
+                   tuple(BlossomDual(b.nodes, p) for b, p in zip(blossoms, ints[n:])),
                    beta)
 
     @cached_property
     def singleton_pi(self) -> tuple[Fraction, ...]:
-        return _view(self.pi_units, self.scale)
+        return tuple(Fraction(p, self.scale) for p in self.pi_units)
 
     @cached_property
     def blossoms(self) -> tuple[BlossomDual, ...]:
@@ -209,15 +207,13 @@ class CardinalityCertificate(namedtuple("CardinalityCertificate",
     def from_fractions(cls, gamma: Fraction, y: Iterable[Fraction],
                        z: Iterable[tuple[frozenset[int], Fraction]],
                        k: int) -> "CardinalityCertificate":
-        """The certificate of these Fraction values, at the lcm of their
-        denominators."""
+        """The certificate of these Fraction values, in their int form
+        (`scaled`)."""
         y, z = tuple(y), tuple(z)
-        scale = lcm(gamma.denominator, *{q.denominator for q in y},
-                    *{zu.denominator for _, zu in z})
-        return cls(scale, gamma.numerator * (scale // gamma.denominator),
-                   _units(y, scale),
-                   tuple((nodes, zu.numerator * (scale // zu.denominator))
-                         for nodes, zu in z),
+        n = len(y)
+        scale, ints = scaled((gamma, *y, *(zu for _, zu in z)))
+        return cls(scale, ints[0], ints[1:n + 1],
+                   tuple((nodes, zu) for (nodes, _), zu in zip(z, ints[n + 1:])),
                    k)
 
     @cached_property
@@ -226,7 +222,7 @@ class CardinalityCertificate(namedtuple("CardinalityCertificate",
 
     @cached_property
     def y(self) -> tuple[Fraction, ...]:
-        return _view(self.y_units, self.scale)
+        return tuple(Fraction(p, self.scale) for p in self.y_units)
 
     @cached_property
     def z(self) -> tuple[tuple[frozenset[int], Fraction], ...]:
@@ -242,23 +238,15 @@ def transform_duals(dual: DualState, k: int) -> CardinalityCertificate:
     by construction (blossom duals are nonnegative).
 
     Everything is computed on the duals' ints, in their scale, and the
-    result is reduced to its own smallest scale by one gcd.
+    result is brought to its own smallest scale (`_reduced`).
     """
     pi_star = accumulated_pi(dual.pi_units, dual.blossom_units)
-    top = max(pi_star)
-    gamma = 2 * top
-    y = [p - top for p in pi_star]
-    z = [-2 * b.pi for b in dual.blossom_units]
-    scale = dual.scale
-    g = gcd(scale, gamma, *y, *z)
-    if g > 1:
-        scale //= g
-        gamma //= g
-        y = [p // g for p in y]
-        z = [zu // g for zu in z]
+    top, n = max(pi_star), len(pi_star)
+    scale, ints = _reduced(dual.scale, (2 * top, *(p - top for p in pi_star),
+                                        *(-2 * b.pi for b in dual.blossom_units)))
     return CardinalityCertificate(
-        scale, gamma, tuple(y),
-        tuple((b.nodes, zu) for b, zu in zip(dual.blossom_units, z)), k)
+        scale, ints[0], ints[1:n + 1],
+        tuple((b.nodes, zu) for b, zu in zip(dual.blossom_units, ints[n + 1:])), k)
 
 
 class Snapshot(namedtuple("Snapshot", "cardinality matching dual_state weight")):
@@ -463,14 +451,8 @@ class EngineState:
         self.mates: dict[int, tuple[int, int]] = {}
         self._forest: ForestLabels | None = None
         self._walk: AlternatingWalk | None = None
-        # The first view: every node alone, tight edges of weight 2 beta.
-        n, load = inst.node_count, 2 * self._units(beta)
-        incident: dict[int, list[tuple[int, int]]] = {v: [] for v in range(n)}
-        for i, ((u, v), w) in enumerate(zip(self._pairs, self._weights)):
-            if w == load:
-                incident[u].append((i, v))
-                incident[v].append((i, u))
-        self._view = ShrunkenView(list(range(n)), incident)
+        nodes = range(inst.node_count)
+        self._view = _tight_view(self, list(nodes), nodes, self._pi_star)
 
     # -- caching ------------------------------------------------------------
 
@@ -635,15 +617,13 @@ class EngineState:
     # -- snapshots ------------------------------------------------------------
 
     def frozen_duals(self) -> DualState:
-        """The engine's own ints, divided by their gcd with the scale."""
+        """The engine's own ints at their smallest scale (`_reduced`)."""
         records = sorted(self._records(), key=lambda r: (r.key, len(r.nodes)))
-        pi, scale = self._pi, self._scale
-        g = gcd(scale, *pi, *(r.pi for r in records))
-        return DualState(
-            scale // g,
-            tuple(pi) if g == 1 else tuple(p // g for p in pi),
-            tuple(BlossomDual(r.nodes, r.pi // g) for r in records),
-            self.beta)
+        n = len(self._pi)
+        scale, ints = _reduced(self._scale, (*self._pi, *(r.pi for r in records)))
+        return DualState(scale, ints[:n],
+                         tuple(BlossomDual(r.nodes, p) for r, p in zip(records, ints[n:])),
+                         self.beta)
 
     def snapshot(self) -> Snapshot:
         lifted, pairs, weights = _lifted(self), self._pairs, self._weights
@@ -664,6 +644,28 @@ def _lifted(state: EngineState) -> set[int]:
     for rec in state.blossoms:
         edges |= _completion(rec, state.covered_node(rec), state._pairs)
     return edges
+
+
+def _tight_view(state: EngineState, top: list[int], keys: Iterable[int],
+                pi_star: list[int]) -> ShrunkenView:
+    """The view over `top` with view ids `keys`, ascending, at accumulated
+    duals `pi_star`: each id lists, in input order, its edges to other ids
+    whose load pi*(u) + pi*(v) equals their weight. Raises
+    InfeasibleUpdateError at the first such edge whose load exceeds it."""
+    incident: dict[int, list[tuple[int, int]]] = {k: [] for k in keys}
+    for i, ((u, v), w) in enumerate(zip(state._pairs, state._weights)):
+        load = pi_star[u] + pi_star[v]
+        if load < w:
+            continue
+        ku, kv = top[u], top[v]
+        if ku == kv:
+            continue
+        if load > w:
+            raise InfeasibleUpdateError("edge-slack", i, Fraction(load, state._scale),
+                                        Fraction(w, state._scale), (u, v))
+        incident[ku].append((i, kv))
+        incident[kv].append((i, ku))
+    return ShrunkenView(top, incident)
 
 
 def lift_matching(state: EngineState) -> Matching:
@@ -742,21 +744,23 @@ def shrink_blossom(state: EngineState, walk: AlternatingWalk) -> EngineState:
 def compute_alpha(state: EngineState) -> AlphaResult:
     """Largest uniform dual step keeping the dual constraints feasible.
 
-    Bounds, over the fully grown forest:
-      (a) pi(U) for S-labeled blossoms (their dual is about to decrease);
-      (b) slack(e) for edges joining a T-node to a free node;
-      (c) slack(e)/2 for edges joining two T-nodes in distinct view nodes.
-    Returns alpha None when no bound exists (no perfect matching). Bounds
-    are compared in units of 1/(2 * scale), so (c) stays an integer; of
+    Over the fully grown forest each node moves at the rate of its
+    maximal set: +1 under a T-node, -1 under an S-node, 0 when free.
+    Bounds: (a) pi(U) for S-labeled blossoms (their dual is about to
+    decrease); (b) slack(e) / r for each edge between distinct view nodes
+    whose load grows at rate r = rate(u) + rate(v) > 0, binding as
+    `edge-t-t` at r = 2 and `edge-t-free` at r = 1. Returns alpha None
+    when no bound exists (no perfect matching). Bounds are compared in
+    units of 1/(2 * scale), where (b) is the integer 2 * slack // r; of
     equal bounds the first offered, in the order above and edges in input
     order, binds.
     """
-    labels = state._require_clean_forest()
-    label = labels.label
+    label = state._require_clean_forest().label
     top = state.shrunken_view().top
     pi_star = state._pi_star
-    # The label of each original node's maximal set.
-    node_label = [label.get(k) for k in top]
+    key_rate = {k: 1 if lbl == LABEL_T else -1 for k, lbl in label.items()}
+    rate = [key_rate.get(k, 0) for k in top]
+    names = (None, "edge-t-free", "edge-t-t")  # by rate
 
     best: int | None = None
     binding: tuple | None = None
@@ -768,18 +772,11 @@ def compute_alpha(state: EngineState) -> AlphaResult:
                 best, binding = bound, ("blossom-nonneg", rec.nodes)
 
     for i, ((u, v), w) in enumerate(zip(state._pairs, state._weights)):
-        lu, lv = node_label[u], node_label[v]
-        if lu == LABEL_T and lv == LABEL_T:
-            if top[u] == top[v]:
-                continue
-            factor, what = 1, "edge-t-t"
-        elif (lu == LABEL_T and lv is None) or (lv == LABEL_T and lu is None):
-            factor, what = 2, "edge-t-free"
-        else:
-            continue
-        bound = factor * (w - pi_star[u] - pi_star[v])
-        if best is None or bound < best:
-            best, binding = bound, (what, i)
+        r = rate[u] + rate[v]
+        if r > 0 and top[u] != top[v]:
+            bound = 2 * (w - pi_star[u] - pi_star[v]) // r
+            if best is None or bound < best:
+                best, binding = bound, (names[r], i)
 
     if best is None:
         return AlphaResult(None, None)
@@ -796,9 +793,9 @@ def apply_dual_update(state: EngineState,
     get 0. The update is validated against the dual constraints before
     anything is written; an infeasible request raises InfeasibleUpdateError
     and leaves the duals untouched. Afterwards every maximal S-labeled
-    blossom whose dual reached 0 is deshrunken and removed. The scan that
-    validates the edges runs on the view ids left after those expansions,
-    so it also collects the next view's tight edges.
+    blossom whose dual reached 0 is deshrunken and removed. The edges are
+    validated by `_tight_view` on the view ids left after those
+    expansions, so the same scan builds the next view.
     """
     labels = state._require_clean_forest()
 
@@ -842,27 +839,13 @@ def apply_dual_update(state: EngineState,
                 top[v] = key
         keys = [v for v, key in enumerate(top) if v == key]
 
-    # Validate the edge constraints on the new pi*, where a maximal set's
-    # step moves every node inside it, and collect the edges left tight
-    # into fresh lists.
-    # The duals are feasible before the update, so the first edge found
-    # overloaded is the first whose load grows past its weight. An edge
-    # inside an expanded blossom is never rejected here: no set that
-    # separates its ends moves, so its cut load is unchanged.
+    # Validate the edges on the new pi*, where a maximal set's step moves
+    # every node inside it, building the next view. The duals are feasible
+    # before the update, so the first edge found overloaded is the first
+    # whose load grows past its weight. An edge inside an expanded blossom
+    # is never rejected: no set separating its ends moves.
     pi_star = [p + delta.get(k, 0) for p, k in zip(state._pi_star, view.top)]
-    incident: dict[int, list[tuple[int, int]]] = {k: [] for k in keys}
-    for i, ((u, v), w) in enumerate(zip(state._pairs, state._weights)):
-        load = pi_star[u] + pi_star[v]
-        if load < w:
-            continue
-        ku, kv = top[u], top[v]
-        if ku == kv:
-            continue
-        if load > w:
-            raise InfeasibleUpdateError("edge-slack", i, Fraction(load, state._scale),
-                                        Fraction(w, state._scale), (u, v))
-        incident[ku].append((i, kv))
-        incident[kv].append((i, ku))
+    new_view = _tight_view(state, top, keys, pi_star)
 
     # Commit.
     state._pi_star = pi_star
@@ -885,7 +868,7 @@ def apply_dual_update(state: EngineState,
         state.blossoms.remove(rec)
         state.blossoms.extend(c for c in rec.cycle if isinstance(c, _Blossom))
 
-    state._invalidate(ShrunkenView(top, incident))
+    state._invalidate(new_view)
     return state
 
 

@@ -62,6 +62,14 @@ def as_rational(value: RationalInput) -> Fraction:
     return Fraction(value)
 
 
+def scaled(values: Iterable[Fraction]) -> tuple[int, tuple[int, ...]]:
+    """The int form of rationals: (scale, each value times scale), scale
+    the lcm of their denominators, the smallest making every value an int."""
+    values = tuple(values)
+    scale = lcm(*{q.denominator for q in values})
+    return scale, tuple(q.numerator * (scale // q.denominator) for q in values)
+
+
 class Edge(namedtuple("Edge", "u v weight")):
     """One edge of an Instance: 0-based ends u < v and its weight."""
 
@@ -145,11 +153,8 @@ class Instance(namedtuple("Instance", "node_count edges")):
 
     @cached_property
     def scaled_weights(self) -> tuple[int, tuple[int, ...]]:
-        """(scale, weights * scale as ints), scale the lcm of the weight
-        denominators; computed once per instance."""
-        scale = lcm(*{e.weight.denominator for e in self.edges})
-        return scale, tuple(e.weight.numerator * (scale // e.weight.denominator)
-                            for e in self.edges)
+        """The weights' int form (`scaled`); computed once per instance."""
+        return scaled(e.weight for e in self.edges)
 
     def _extended(self, node_count: int, edges: Iterable[Edge], weights: Iterable[int],
                   incident: dict[int, list[int]] | None = None) -> "Instance":
@@ -158,14 +163,16 @@ class Instance(namedtuple("Instance", "node_count edges")):
         `weights`. Its `scaled_weights` carries this one's ints over rather
         than reading every Fraction again, so each new weight's denominator
         must divide this instance's scale (as 0 and this instance's own
-        weights do).
+        weights do). It skips `__new__`'s checks: this instance's edges
+        passed them, and the caller vouches for its new edges as for their
+        weights.
 
         `incident`, when given, maps every node with a new edge to the
         indices of its new edges, in order, as the caller's layout of
         `edges` places them. The new instance's `_incident` is then this
         one's lists followed by those, with no pass over the edges."""
         scale, own = self.scaled_weights
-        inst = Instance(node_count, self.edges + tuple(edges))
+        inst = tuple.__new__(Instance, (node_count, self.edges + tuple(edges)))
         inst.__dict__["scaled_weights"] = scale, own + tuple(weights)
         if incident is not None:
             index = {**self._incident}

@@ -12,11 +12,13 @@ checker reports as `cs-matched-edge-tight`. This re-proves the snapshot
 cardinality-optimal on a different graph, matching and duals than its
 cardinality certificate, with the same checker (see
 `check_perfect_certificate`). The completed instance's scaled int weights
-are the original's cached ones plus a 0 per helper edge
-(`Instance._extended`), so no Fraction is read again; the doubled graph
-reuses them the same way. The completion's edge index
-(`Instance._incident`) follows from its layout: helper i's edge to
-original node v has index m + i*n + v, so no pass over its edges builds it.
+are the original's cached ones plus a 0 per helper edge, so no Fraction
+is read again, and its edges skip `Instance`'s checks, which the
+original's passed and the helper edges meet by construction
+(`Instance._extended`); the doubled graph is built the same way. The
+completion's edge index (`Instance._incident`) follows from its layout:
+helper i's edge to original node v has index m + i*n + v, so no pass
+over its edges builds it.
 
 The doubled graph joins a mirror copy of the instance along weight-0
 bridge edges; its minimum perfect-matching weight is exactly twice the

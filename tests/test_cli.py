@@ -71,6 +71,13 @@ class TestSolveCommand:
         assert code == 0
         assert json.loads(out)["status"] == "perfect-found"
 
+    def test_unwritable_snapshots_path_leaves_stdout_empty(self, capsys, tmp_path,
+                                                           p4_file):
+        code, out, err = run_cli(capsys, "solve", p4_file, "--snapshots", str(tmp_path))
+        assert code == 3
+        assert out == ""
+        assert "Is a directory" in err
+
     def test_snapshots_file_opened_without_truncation(self, capsys, monkeypatch,
                                                       tmp_path, p4_file):
         # Truncate-on-open makes the next rewrite of the file wait on a

@@ -48,10 +48,12 @@ class TestAuxiliaryCompletion:
             assert set(vars(comp.aux_instance)) == {"scaled_weights", "_incident"}
 
     def test_edge_index_follows_the_layout(self):
-        """The completion's `_incident`, derived from where its helper edges
-        sit, equals the one a scan of its edges builds; helper i's edge to
-        node v has index m + i*n + v. Snapshots with 0, 1 and several
-        exposed nodes are each met."""
+        """The completion, built without `Instance`'s checks, equals the
+        instance its node count and edges build through them, and its
+        `_incident`, derived from where its helper edges sit, equals the
+        one a scan of its edges builds; helper i's edge to node v has index
+        m + i*n + v. Snapshots with 0, 1 and several exposed nodes are each
+        met."""
         rng = random.Random(26)
         exposed_counts = set()
         for _ in range(30):
@@ -60,7 +62,8 @@ class TestAuxiliaryCompletion:
             for snap in solve(inst).snapshots:
                 comp = build_auxiliary_completion(inst, snap)
                 aux = comp.aux_instance
-                assert aux._incident == Instance(aux.node_count, aux.edges)._incident
+                checked = Instance(aux.node_count, aux.edges)
+                assert aux == checked and aux._incident == checked._incident
                 for i, v in enumerate(comp.exposed_nodes):
                     assert aux.edge_index(v, n + i) == m + i * n + v
                 exposed_counts.add(min(len(comp.exposed_nodes), 2))
@@ -320,6 +323,14 @@ class TestDoubledGraph:
         doubled = build_doubled_graph(p4)
         assert "scaled_weights" in vars(doubled)
         assert doubled.scaled_weights == (1, (5, 1, 5) * 2 + (0,) * 4)
+
+    def test_equals_the_checked_instance(self):
+        """The doubled graph, built without `Instance`'s checks, equals the
+        instance its node count and edges build through them."""
+        rng = random.Random(28)
+        for _ in range(30):
+            doubled = build_doubled_graph(random_instance(rng, max_nodes=11, low=-6))
+            assert doubled == Instance(doubled.node_count, doubled.edges)
 
     def test_p4_doubled_minimum_is_zero(self, p4):
         assert minimum_perfect_weight(build_doubled_graph(p4)) == 0

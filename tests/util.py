@@ -13,7 +13,8 @@ from itertools import combinations
 from math import lcm
 
 from matchcert.certificates import Verdict, Violation, _family_violations, verify_run
-from matchcert.engine import (STATUS_NO_PERFECT, STATUS_PERFECT, BlossomDual,
+from matchcert.engine import (LABEL_S, LABEL_T, STATUS_NO_PERFECT,
+                              STATUS_PERFECT, AlphaResult, BlossomDual,
                               CardinalityCertificate, DualState, EngineState,
                               RunResult, ShrunkenView, apply_dual_update,
                               compute_alpha, lift_matching, shrink_blossom,
@@ -183,6 +184,31 @@ def reference_view(state: EngineState) -> ShrunkenView:
     return ShrunkenView(top, incident)
 
 
+def reference_alpha(state: EngineState) -> AlphaResult:
+    """`compute_alpha` by the labels of each edge's ends, in Fractions from
+    the definition (`edge_load`): (a) pi(U) of each S-labeled maximal
+    blossom; (b) the slack of each edge joining a T-node to a free node,
+    as `edge-t-free`; (c) half the slack of each edge joining two T-nodes
+    in distinct view nodes, as `edge-t-t`. The smallest bound binds, the
+    first of equal ones in that order and edges in input order; no bound
+    gives alpha None."""
+    label = state.forest_labels().label
+    top = reference_view(state).top
+    dual = state.frozen_duals()
+    bounds = [(Fraction(rec.pi, state._scale), ("blossom-nonneg", rec.nodes))
+              for rec in state.blossoms if label.get(rec.key) == LABEL_S]
+    for i, (u, v, weight) in enumerate(state.inst.edges):
+        lu, lv = label.get(top[u]), label.get(top[v])
+        slack = weight - edge_load(dual, u, v)
+        if lu == lv == LABEL_T and top[u] != top[v]:
+            bounds.append((slack / 2, ("edge-t-t", i)))
+        elif {lu, lv} == {LABEL_T, None}:
+            bounds.append((slack, ("edge-t-free", i)))
+    if not bounds:
+        return AlphaResult(None, None)
+    return AlphaResult(*min(bounds, key=lambda bound: bound[0]))
+
+
 def assert_view_form(view: ShrunkenView) -> None:
     """The order `reference_view` cannot check by equality, since dict
     equality ignores it: the keys ascend, and each list is in edge-index
@@ -213,9 +239,11 @@ def checked_steps(inst: Instance, phases=(), beta=0, observer=None) -> dict[str,
     that the previous view still equals a deep copy taken before the step
     (no list it may share with the new one was changed), and that its
     mate map equals `reference_mates`; after an augment the view must be
-    the very same object. `observer`, when given, is called with the live
-    engine state after every applied dual update. The replayed snapshots
-    and status must equal solve's run; returns the step counts."""
+    the very same object. Before every uniform dual update `compute_alpha`
+    must equal `reference_alpha`. `observer`, when given, is called with
+    the live engine state after every applied dual update. The replayed
+    snapshots and status must equal solve's run; returns the step
+    counts."""
     state = EngineState(inst, beta)
     assert state.shrunken_view() == reference_view(state)
     assert_view_form(state.shrunken_view())
@@ -241,7 +269,9 @@ def checked_steps(inst: Instance, phases=(), beta=0, observer=None) -> dict[str,
             if script:
                 amounts = dict(zip(state.forest_labels().roots, script.pop(0)))
             else:
-                amounts = compute_alpha(state).alpha
+                result = compute_alpha(state)
+                assert result == reference_alpha(state)
+                amounts = result.alpha
                 if amounts is None:
                     status = STATUS_NO_PERFECT
                     break
