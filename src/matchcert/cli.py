@@ -9,10 +9,11 @@ failure, 3 input error.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import stat
 import sys
-from collections import namedtuple
+from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import cache
 from typing import Any, Sequence
@@ -206,6 +207,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
           f"final |M| = {final.cardinality}, "
           f"weight {final.weight - final.cardinality * record.shift}",
           file=sys.stderr)
+    if args.verify and not verdict.passed:
+        sys.stderr.write(_failure_summary(payload["verification"]))
 
     if exit_code == EXIT_OK and run.infeasible:
         exit_code = EXIT_INFEASIBLE
@@ -226,8 +229,6 @@ def _load_run(path: str, inst: Instance,
     renormalize the instance to match it. Returns the whole run, or with
     `k` only its first snapshot of cardinality k, the one snapshot decoded.
     A file without `normalization` was made with weight shift 0."""
-    import json
-
     with open(path, "r", encoding="utf-8") as handle:
         try:
             data = json.load(handle)
@@ -258,13 +259,31 @@ def _load_run(path: str, inst: Instance,
 def _cmd_verify(args: argparse.Namespace) -> int:
     inst = _read_instance(args.file)
     run, inst = _load_run(args.run, inst)
-    verdict = certificates.verify_run(inst, run)
-    sys.stdout.write(jsonio.dumps(jsonio.verdict_to_dict(verdict)))
-    if verdict.passed:
+    verdict = jsonio.verdict_to_dict(certificates.verify_run(inst, run))
+    sys.stdout.write(jsonio.dumps(verdict))
+    if verdict["pass"]:
         print(f"all {len(run.snapshots)} snapshots verified", file=sys.stderr)
         return EXIT_OK
-    print(f"{len(verdict.violations)} violations", file=sys.stderr)
+    sys.stderr.write(_failure_summary(verdict))
     return EXIT_VERIFICATION
+
+
+def _failure_summary(verdict: dict[str, Any]) -> str:
+    """The stderr lines of a failing run verdict, read from its JSON form
+    so that ids are 1-based as there: the number of violations; the first
+    failure, the first violation tagged with the smallest k (the first of
+    all when none names a snapshot); and the count per constraint id."""
+    violations = verdict["violations"]
+    parts = [viol["constraint"].partition(":k=") for viol in violations]
+    tagged = [(int(k), i) for i, (_, _, k) in enumerate(parts) if k]
+    i = min(tagged)[1] if tagged else 0
+    constraint, _, k = parts[i]
+    first, where = violations[i], f" at k={k}" if k else ""
+    counts = sorted(Counter(c for c, _, _ in parts).items())
+    return (f"{len(violations)} violations\n"
+            f"first failure{where}: {constraint} witness={json.dumps(first['witness'])} "
+            f"lhs={first['lhs']} rhs={first['rhs']}\n"
+            f"per constraint: {', '.join(f'{c} {n}' for c, n in counts)}\n")
 
 
 def _cmd_counterexample(args: argparse.Namespace) -> int:

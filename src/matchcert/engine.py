@@ -55,9 +55,9 @@ Design notes:
     `CardinalityCertificate`.
   * Each node's accumulated dual pi*(v) (its own dual plus the duals of
     all blossoms containing it) is kept current: a dual update moves it
-    by the step of the node's maximal set, and shrinking or expanding a
-    blossom, whose dual is then 0, leaves it unchanged. `compute_alpha`
-    and `apply_dual_update` read it directly.
+    by its maximal set's label (0 when free) times its tree's amount,
+    and shrinking or expanding a blossom, whose dual is then 0, leaves
+    it unchanged. `compute_alpha` and `apply_dual_update` read it directly.
   * Determinism: forest growth scans shrunken-graph nodes in ascending id
     (a node's id is the smallest original node it contains) and each
     node's incident edges in instance input order. The first event found
@@ -77,8 +77,8 @@ from .graph import Instance, Matching, RationalInput, as_rational, scaled
 
 ZERO = Fraction(0)
 
-LABEL_S = "S"
-LABEL_T = "T"
+LABEL_T = 1  # a forest label is its set's rate in a dual step
+LABEL_S = -1
 
 STATUS_PERFECT = "perfect-found"
 STATUS_NO_PERFECT = "no-perfect-matching"
@@ -307,12 +307,13 @@ class ForestLabels(namedtuple("ForestLabels", "label root roots")):
     """Labels of the alternating forest over the shrunken graph.
 
     T-nodes (roots included) sit at even alternating distance from an
-    exposed root, S-nodes at odd distance; unlabeled nodes are free.
+    exposed root, S-nodes at odd distance; unlabeled nodes are free. A
+    label is its set's rate in a dual step (LABEL_T = +1, LABEL_S = -1).
     """
 
     __slots__ = ()
 
-    label: dict[int, str]
+    label: dict[int, int]
     root: dict[int, int]
     roots: tuple[int, ...]
 
@@ -529,7 +530,7 @@ class EngineState:
         mates = self.mates
         incident = self.shrunken_view().incident
 
-        label: dict[int, str] = {}
+        label: dict[int, int] = {}
         parent: dict[int, tuple[int, int]] = {}
         root: dict[int, int] = {}
         roots = tuple(k for k in incident if k not in mates)
@@ -745,7 +746,7 @@ def compute_alpha(state: EngineState) -> AlphaResult:
     """Largest uniform dual step keeping the dual constraints feasible.
 
     Over the fully grown forest each node moves at the rate of its
-    maximal set: +1 under a T-node, -1 under an S-node, 0 when free.
+    maximal set, the set's label (+1 T, -1 S), or 0 when it is free.
     Bounds: (a) pi(U) for S-labeled blossoms (their dual is about to
     decrease); (b) slack(e) / r for each edge between distinct view nodes
     whose load grows at rate r = rate(u) + rate(v) > 0, binding as
@@ -758,8 +759,7 @@ def compute_alpha(state: EngineState) -> AlphaResult:
     label = state._require_clean_forest().label
     top = state.shrunken_view().top
     pi_star = state._pi_star
-    key_rate = {k: 1 if lbl == LABEL_T else -1 for k, lbl in label.items()}
-    rate = [key_rate.get(k, 0) for k in top]
+    rate = [label.get(k, 0) for k in top]
     names = (None, "edge-t-free", "edge-t-t")  # by rate
 
     best: int | None = None
@@ -811,10 +811,7 @@ def apply_dual_update(state: EngineState,
         state._admit((value,))
         units = dict.fromkeys(labels.roots, state._units(value))
 
-    delta: dict[int, int] = {}
-    for key, lbl in labels.label.items():
-        amount = units.get(labels.root[key], 0)
-        delta[key] = amount if lbl == LABEL_T else -amount
+    delta = {k: rate * units.get(labels.root[k], 0) for k, rate in labels.label.items()}
 
     # Validate nonnegativity of blossom duals. The S-labeled ones that
     # the update takes to 0 expand: their nodes get the view ids of their

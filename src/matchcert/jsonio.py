@@ -243,11 +243,7 @@ def oracle_table_to_dict(table: OracleTable) -> dict[str, Any]:
 
 
 def _jsonable_value(value: Any) -> Any:
-    if isinstance(value, Fraction):
-        return rational_to_str(value)
-    if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
-        return value
-    return str(value)
+    return rational_to_str(value) if isinstance(value, Fraction) else value
 
 
 def _jsonable_witness(constraint: str, witness: Any) -> Any:
@@ -261,9 +257,7 @@ def _jsonable_witness(constraint: str, witness: Any) -> Any:
         return witness + 1
     if isinstance(witness, (frozenset, set)):
         return [v + 1 for v in sorted(witness)]
-    if isinstance(witness, tuple):
-        return [_jsonable_witness(constraint, x) for x in witness]
-    return str(witness)
+    return [_jsonable_witness(constraint, x) for x in witness]  # a tuple
 
 
 def verdict_to_dict(verdict: Verdict) -> dict[str, Any]:

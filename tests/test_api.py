@@ -1,5 +1,6 @@
-"""The package's public names are exactly what the README documents, and
-the benchmark's replays of the program still match it."""
+"""The package's public names are exactly what the README documents, the
+README's Library example runs as printed there, and the benchmark's
+replays of the program still match it."""
 
 import random
 import re
@@ -12,15 +13,25 @@ from matchcert import Instance, solve, verify_run
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
-def test_public_names_match_readme_library_section():
+def library_section() -> str:
     text = README.read_text(encoding="utf-8")
-    section = text.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    return text.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+
+
+def test_public_names_match_readme_library_section():
+    section = library_section()
     missing = [name for name in matchcert.__all__
                if not re.search(rf"\b{name}\b", section)]
     assert not missing, f"in __all__ but not in the README's Library section: {missing}"
     block = re.search(r"from matchcert import \(([^)]*)\)", section).group(1)
     imported = {name.strip() for name in block.split(",")}
     assert imported <= set(matchcert.__all__)
+
+
+def test_readme_library_example_runs(capsys):
+    code = library_section().split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, str(README), "exec"), {})
+    assert capsys.readouterr().out == "0 0 []\n1 1 [(1, 2)]\n2 10 [(0, 1), (2, 3)]\n"
 
 
 # The benchmark replays `solve` through the stepping API and `verify_run`

@@ -461,3 +461,35 @@ class TestVerifyRun:
             table = min_weight_by_cardinality(inst)
             for snap in run.snapshots:
                 assert snap.weight == table.min_weight(snap.cardinality)
+
+
+class TestRestrictionBoundary:
+    """The paper's restriction is that every tree steps by the same amount.
+    Past it, a snapshot's certificate holds exactly when CS2 does: every
+    exposed node's accumulated dual is the maximum."""
+
+    def test_per_tree_amounts_certify_iff_exposed_nodes_at_the_maximum(self):
+        # Each tree steps by 0, alpha/2, alpha or 2 alpha; an all-zero
+        # phase steps by alpha, and so does an update the engine refuses.
+        rng = random.Random(37)
+
+        def per_tree(state, alpha):
+            amounts = {root: alpha * rng.choice((0, HALF, 1, 2))
+                       for root in state.forest_labels().roots}
+            return [amounts if any(amounts.values()) else alpha]
+
+        outcomes = []
+        for _ in range(60):
+            inst = random_instance(rng, max_nodes=14)
+            _, run = checked_steps(inst, policy=per_tree)
+            for snap in run.snapshots:
+                dual = snap.dual_state
+                pi_star = accumulated_pi(dual.pi_units, dual.blossom_units)
+                at_maximum = all(pi_star[v] == max(pi_star)
+                                 for v in range(inst.node_count)
+                                 if not snap.matching.covers(v))
+                verdict = check_cardinality_certificate(inst, snap.matching,
+                                                        snap.certificate)
+                assert verdict.passed == at_maximum, (inst, snap, verdict)
+                outcomes.append(verdict.passed)
+        assert set(outcomes) == {True, False}

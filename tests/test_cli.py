@@ -467,6 +467,63 @@ class TestVerifyCommand:
         assert witnesses(out, "matching-edge:k=1") == [[1, 3]]
 
 
+class TestFailureSummary:
+    """A failing verdict's stderr names its first failure, the first
+    violation at the smallest k, in the JSON's 1-based ids, and counts each
+    constraint id; stdout and the exit code are as before."""
+
+    FIG2 = ("1 violations\n"
+            "first failure at k=4: cs-exposed-zero-y witness=8 lhs=-2 rhs=0\n"
+            "per constraint: cs-exposed-zero-y 1\n")
+
+    def test_figure2_scripted_run(self, capsys, tmp_path, fig2_scripted):
+        fig2_path, policy = fig2_scripted
+        run_path = tmp_path / "run.json"
+        code, out, err = run_cli(capsys, "solve", fig2_path, "--policy", policy,
+                                 "--verify", "--snapshots", str(run_path))
+        assert code == 2
+        assert err == ("status no-perfect-matching; 5 snapshots; final |M| = 4, "
+                       "weight 4\n" + self.FIG2)
+        assert [v["constraint"] for v in json.loads(out)["verification"]["violations"]] \
+            == ["cs-exposed-zero-y:k=4"]
+        code, out, err = run_cli(capsys, "verify", fig2_path, "--run", str(run_path))
+        assert (code, err) == (2, self.FIG2)
+        assert json.loads(out) == {"pass": False, "violations": [
+            {"constraint": "cs-exposed-zero-y:k=4", "witness": 8, "lhs": "-2", "rhs": "0"}]}
+
+    def test_run_checked_against_permuted_weights(self, capsys, tmp_path):
+        # The path 1-2-3-4-5 solved with weights 3, 1, 5, 2 and checked
+        # against the same edges weighted 2, 5, 1, 3.
+        path = tmp_path / "path5.dimacs"
+        path.write_text("p edge 5 4\ne 1 2 3\ne 2 3 1\ne 3 4 5\ne 4 5 2\n")
+        run_path = tmp_path / "run.json"
+        run_cli(capsys, "solve", str(path), "--snapshots", str(run_path))
+        path.write_text("p edge 5 4\ne 1 2 2\ne 2 3 5\ne 3 4 1\ne 4 5 3\n")
+        code, out, err = run_cli(capsys, "verify", str(path), "--run", str(run_path))
+        assert code == 2 and len(json.loads(out)["violations"]) == 6
+        assert err == ("6 violations\n"
+                       "first failure at k=1: snapshot-weight witness=null lhs=1 rhs=5\n"
+                       "per constraint: cs-matched-edge-tight 3, edge-feasibility 1, "
+                       "snapshot-weight 2\n")
+
+    def test_smallest_k_not_first_in_order(self, capsys, tmp_path, p4_file):
+        # Swapped, the snapshot at position 1 claims k=2 and fails first;
+        # the one claiming k=1 is named.
+        code, _, err = verify_tampered(capsys, tmp_path, p4_file, swap_snapshots_1_2)
+        assert code == 2
+        assert err.splitlines()[1:] == [
+            "first failure at k=1: snapshot-cardinality-sequence witness=2 lhs=1 rhs=2",
+            "per constraint: consecutive-single-path 1, run-status 1, "
+            "snapshot-cardinality-sequence 2"]
+
+    def test_no_snapshot_named(self, capsys, tmp_path, p4_file):
+        code, _, err = verify_tampered(capsys, tmp_path, p4_file,
+                                       lambda d: d.update(status="no-perfect-matching"))
+        assert (code, err) == (2, "1 violations\n"
+                               'first failure: run-status witness="no-perfect-matching" '
+                               "lhs=4 rhs=4\nper constraint: run-status 1\n")
+
+
 def assert_input_error(result, message):
     """A command's (code, out, err): exit 3 with `message` on stderr, no
     output and no traceback."""

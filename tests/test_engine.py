@@ -486,16 +486,16 @@ class TestCarriedView:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_sparse_graphs(self, seed):
-        counts = checked_steps(sparse_instance(seed))
+        counts, _ = checked_steps(sparse_instance(seed))
         assert counts["augment"] == 32 and counts["dual_update"] > 0
 
     def test_ladder(self):
-        counts = checked_steps(nested_ladder(12))
+        counts, _ = checked_steps(nested_ladder(12))
         assert counts["shrink"] >= 12
 
     def test_run_with_expansions(self, c5_two_tails):
-        assert checked_steps(c5_two_tails)["expansion"] == 1
-        assert checked_steps(sparse_instance(7))["expansion"] == 4
+        assert checked_steps(c5_two_tails)[0]["expansion"] == 1
+        assert checked_steps(sparse_instance(7))[0]["expansion"] == 4
 
     def test_scripted_fifth_rescales(self):
         # 1/5 is a multiple of no weight or beta denominator, so the first
@@ -503,15 +503,16 @@ class TestCarriedView:
         inst = Instance.from_edges(5, [
             (0, 1, Fraction(9, 2)), (1, 2, Fraction(10, 3)), (2, 3, Fraction(30, 7)),
             (3, 4, 4), (0, 4, Fraction(13, 3)), (1, 3, Fraction(11, 2))])
-        counts = checked_steps(inst, phases=[[Fraction(1, 5)]], beta=Fraction(1, 7))
+        counts, _ = checked_steps(inst, phases=[[Fraction(1, 5)]],
+                                  beta=Fraction(1, 7))
         assert counts["rescale"] == 1
 
     def test_rescale_after_a_shrink(self, nested_blossom_instance):
         # The triangle {1, 2, 3} is shrunk before the first dual update, so
         # the fifths phase rescales a blossom dual of 0 and the sevenths
         # phase one of 1/5.
-        counts = checked_steps(nested_blossom_instance,
-                               phases=[[Fraction(1, 5)], [Fraction(1, 7)]])
+        counts, _ = checked_steps(nested_blossom_instance,
+                                  phases=[[Fraction(1, 5)], [Fraction(1, 7)]])
         assert counts["shrink"] >= 1 and counts["rescale"] == 2
 
     def test_augment_keeps_the_view_object(self, fig2):

@@ -8,7 +8,8 @@ networkx also checks the paper's theorem at every cardinality, where the
 oracle cannot reach: snapshot k's matching maximizes lambda * |M| - w(M)
 over all matchings at lambda = gamma of its certificate. On graphs of up
 to 40 nodes with negative weights it checks the unconstrained optimum,
-and the doubled graph's perfect optimum against it.
+and the doubled graph's perfect optimum against it. It checks the theorem
+too on runs whose every dual phase is split into two uniform steps.
 
 Hypothesis and networkx are test-only; the module is skipped without them.
 """
@@ -22,7 +23,7 @@ from matchcert.certificates import verify_run
 from matchcert.engine import solve
 from matchcert.graph import Instance, normalize_weights, scaled
 from matchcert.reductions import build_doubled_graph
-from util import checked_steps, reference_verify_run
+from util import checked_steps, random_instance, reference_verify_run
 
 hypothesis = pytest.importorskip("hypothesis")
 nx = pytest.importorskip("networkx")
@@ -93,6 +94,29 @@ def test_every_snapshot_maximizes_its_lagrangian(inst):
     for snap in solve(inst).snapshots:
         lam = snap.certificate.gamma
         assert lagrangian_value(inst, lam) == lam * snap.cardinality - snap.weight
+
+
+@pytest.mark.parametrize("r", [Fraction(1, 3), Fraction(1, 2), Fraction(2, 3)],
+                         ids=["third", "half", "two-thirds"])
+def test_split_uniform_steps_keep_every_snapshot_optimal(r):
+    """Inside the restriction: each dual phase stepped as r * alpha and
+    then the rest, (1 - r) * alpha, every tree alike. Every snapshot
+    verifies and maximizes its Lagrangian, and the run is solve's: a
+    partial uniform step makes no edge tight and empties no blossom."""
+    rng = random.Random(41)
+
+    def split(state, alpha):
+        return [r * alpha, alpha - r * alpha] if alpha else [alpha]
+
+    for _ in range(40):
+        inst = random_instance(rng, max_nodes=14)
+        counts, run = checked_steps(inst, policy=split)
+        assert counts["refused"] == 0
+        assert verify_run(inst, run).passed
+        for snap in run.snapshots:
+            lam = snap.certificate.gamma
+            assert lagrangian_value(inst, lam) == lam * snap.cardinality - snap.weight
+        assert run == solve(inst)
 
 
 @hypothesis.settings(max_examples=20, deadline=None, derandomize=True, database=None)

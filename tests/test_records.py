@@ -61,7 +61,7 @@ def _samples():
          {"weight": Fraction(4)}, ("certificate",)),
         (RunResult, ((snap,), STATUS_PERFECT, "maximum", HALF), {"mode": "perfect"}, ()),
         (ShrunkenView, ([0, 0, 0], {0: [(1, 0)]}), {"incident": {}}, ()),
-        (ForestLabels, ({0: "T"}, {0: 0}, (0,)), {"roots": ()}, ()),
+        (ForestLabels, ({0: engine.LABEL_T}, {0: 0}, (0,)), {"roots": ()}, ()),
         (AlternatingWalk, ((0, 1), (0,)), {"edges": (1,)}, ()),
         (AlphaResult, (Fraction(1), ("edge-t-t", (0, 1))), {"alpha": None}, ()),
         (certificates.Violation, ("odd-set", frozenset({0, 1}), 2, "odd"), {"lhs": 3}, ()),

@@ -16,9 +16,9 @@ from matchcert.certificates import Verdict, Violation, _family_violations, verif
 from matchcert.engine import (LABEL_S, LABEL_T, STATUS_NO_PERFECT,
                               STATUS_PERFECT, AlphaResult, BlossomDual,
                               CardinalityCertificate, DualState, EngineState,
-                              RunResult, ShrunkenView, apply_dual_update,
-                              compute_alpha, lift_matching, shrink_blossom,
-                              solve)
+                              InfeasibleUpdateError, RunResult, ShrunkenView,
+                              apply_dual_update, compute_alpha, lift_matching,
+                              shrink_blossom, solve)
 from matchcert.graph import (Instance, Matching, SymmetricDifference,
                              alternating_path_difference, matching_weight,
                              normalize_weights)
@@ -232,26 +232,34 @@ def reference_mates(state: EngineState) -> dict[int, tuple[int, int]]:
     return mates
 
 
-def checked_steps(inst: Instance, phases=(), beta=0, observer=None) -> dict[str, int]:
+def checked_steps(inst: Instance, phases=(), beta=0, observer=None,
+                  policy=None) -> tuple[dict[str, int], RunResult]:
     """Replay `solve(inst, phases=phases, beta=beta)` step by step, and
     check after every augment, shrink and dual update that the engine's
     view equals `reference_view` in the order `assert_view_form` checks,
     that the previous view still equals a deep copy taken before the step
     (no list it may share with the new one was changed), and that its
     mate map equals `reference_mates`; after an augment the view must be
-    the very same object. Before every uniform dual update `compute_alpha`
-    must equal `reference_alpha`. `observer`, when given, is called with
-    the live engine state after every applied dual update. The replayed
-    snapshots and status must equal solve's run; returns the step
-    counts."""
+    the very same object. Before every update past `phases`
+    `compute_alpha` must equal `reference_alpha`. `observer`, when given,
+    is called with the live engine state after every applied dual update.
+
+    `policy`, when given, chooses the updates past `phases`: called with
+    the state and alpha when a dual phase starts, it returns the amounts
+    of one or more updates, each a value or a map from tree root to
+    amount, applied one per dual step. An update it chose that the engine
+    refuses (InfeasibleUpdateError) is replaced by alpha and counted as
+    `refused`. The replayed snapshots and status must equal solve's run,
+    given every applied update as a phase when there is a policy. Returns
+    the step counts and the replayed run."""
     state = EngineState(inst, beta)
     assert state.shrunken_view() == reference_view(state)
     assert_view_form(state.shrunken_view())
     assert state.mates == reference_mates(state)
     snapshots = [state.snapshot()]
-    script = list(phases)
+    script, chosen, applied = list(phases), [], []
     counts = dict.fromkeys(("augment", "shrink", "dual_update", "expansion",
-                            "rescale"), 0)
+                            "rescale", "refused"), 0)
     status = STATUS_PERFECT
     while state.exposed_view_keys():
         before = state.shrunken_view()
@@ -266,17 +274,32 @@ def checked_steps(inst: Instance, phases=(), beta=0, observer=None) -> dict[str,
             shrink_blossom(state, walk)
             counts["shrink"] += 1
         else:
+            roots = state.forest_labels().roots
+            fallback = None
             if script:
-                amounts = dict(zip(state.forest_labels().roots, script.pop(0)))
+                amounts = dict(zip(roots, script.pop(0)))
             else:
                 result = compute_alpha(state)
                 assert result == reference_alpha(state)
-                amounts = result.alpha
-                if amounts is None:
+                if result.alpha is None:
                     status = STATUS_NO_PERFECT
                     break
+                if policy is not None and not chosen:
+                    chosen = list(policy(state, result.alpha))
+                amounts = result.alpha
+                if chosen:
+                    amounts, fallback = chosen.pop(0), result.alpha
             scale, blossoms = state._scale, set(state.blossoms)
-            apply_dual_update(state, amounts)
+            try:
+                apply_dual_update(state, amounts)
+            except InfeasibleUpdateError:
+                if fallback is None:
+                    raise
+                amounts = fallback
+                apply_dual_update(state, amounts)
+                counts["refused"] += 1
+            applied.append([amounts.get(r, 0) for r in roots] if isinstance(amounts, dict)
+                           else [amounts] * len(roots))
             counts["dual_update"] += 1
             counts["expansion"] += len(blossoms - set(state.blossoms))
             counts["rescale"] += state._scale != scale
@@ -287,8 +310,8 @@ def checked_steps(inst: Instance, phases=(), beta=0, observer=None) -> dict[str,
         assert before == frozen
         assert state.mates == reference_mates(state)
     replay = RunResult(tuple(snapshots), status, "maximum", state.beta)
-    assert replay == solve(inst, phases=phases, beta=beta)
-    return counts
+    assert replay == solve(inst, phases=phases if policy is None else applied, beta=beta)
+    return counts, replay
 
 
 def reference_format_instance(inst: Instance) -> str:
