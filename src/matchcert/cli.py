@@ -49,12 +49,13 @@ def figure2_instance() -> Instance:
 
 
 class ScenarioReport(namedtuple("ScenarioReport", "uniform scripted scripted_error "
-                                                   "oracle_minima divergence")):
+                                                   "oracle_minima divergence scripted_verdict")):
     """Uniform run vs scripted run vs ground truth, per cardinality.
 
     divergence is the first cardinality where the scripted run's weight
     exceeds the oracle minimum, or None when the scripted run stayed
-    optimal (or could not run at all).
+    optimal (or could not run at all). scripted_verdict is `verify_run`'s
+    verdict on the scripted run, None when it could not run.
     """
 
     __slots__ = ()
@@ -64,6 +65,7 @@ class ScenarioReport(namedtuple("ScenarioReport", "uniform scripted scripted_err
     scripted_error: str | None
     oracle_minima: tuple[Fraction, ...]
     divergence: int | None
+    scripted_verdict: certificates.Verdict | None
 
 
 def compare_dual_policies(inst: Instance,
@@ -84,6 +86,7 @@ def compare_dual_policies(inst: Instance,
     scripted: tuple[tuple[int, Fraction], ...] | None
     scripted_error: str | None = None
     divergence: int | None = None
+    verdict: certificates.Verdict | None = None
     try:
         phase = tuple(as_rational(a) for a in amounts)
         scripted_run = solve(inst, mode="maximum", phases=(phase,))
@@ -96,8 +99,9 @@ def compare_dual_policies(inst: Instance,
             if k <= table.nu and weight > minima[k]:
                 divergence = k
                 break
+        verdict = certificates.verify_run(inst, scripted_run)
 
-    return ScenarioReport(uniform, scripted, scripted_error, minima, divergence)
+    return ScenarioReport(uniform, scripted, scripted_error, minima, divergence, verdict)
 
 
 def scenario_report_to_dict(report: ScenarioReport) -> dict[str, Any]:
@@ -110,6 +114,8 @@ def scenario_report_to_dict(report: ScenarioReport) -> dict[str, Any]:
         "scripted_error": report.scripted_error,
         "oracle_minima": [jsonio.rational_to_str(w) for w in report.oracle_minima],
         "divergence": report.divergence,
+        "scripted_verdict": (jsonio.verdict_to_dict(report.scripted_verdict)
+                             if report.scripted_verdict is not None else None),
     }
 
 
@@ -289,7 +295,8 @@ def _failure_summary(verdict: dict[str, Any]) -> str:
 def _cmd_counterexample(args: argparse.Namespace) -> int:
     amounts = _parse_amounts_option(args.amounts)
     report = compare_dual_policies(figure2_instance(), amounts)
-    sys.stdout.write(jsonio.dumps(scenario_report_to_dict(report)))
+    data = scenario_report_to_dict(report)
+    sys.stdout.write(jsonio.dumps(data))
     if report.scripted_error is not None:
         print(f"scripted run refused: {report.scripted_error}", file=sys.stderr)
     elif report.divergence is None:
@@ -300,6 +307,8 @@ def _cmd_counterexample(args: argparse.Namespace) -> int:
         scripted_weight = dict(report.scripted)[k]
         print(f"divergence at k={k}: scripted weight {scripted_weight} "
               f"vs optimum {report.oracle_minima[k]}", file=sys.stderr)
+    if report.scripted_verdict is not None and not report.scripted_verdict.passed:
+        sys.stderr.write("scripted run: " + _failure_summary(data["scripted_verdict"]))
     return EXIT_OK
 
 

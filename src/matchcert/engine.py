@@ -23,17 +23,21 @@ Design notes:
     blossom's remembered odd cycle and the node its map entry covers, so
     shrinking and deshrinking cannot change the deshrunken matching.
   * The shrunken view is carried across steps: one adjacency map, view
-    id -> tight edges, plus `top`. One edge scan, `_tight_view`, decides
-    tightness and rejects an overloaded edge; `__init__` builds the first
-    view with it, and `apply_dual_update` validates each update with it,
-    on the view ids left after the blossoms it expands, so the scan
-    builds the next view. `augment` keeps the view (blossoms and pi* do
-    not change); `shrink_blossom` merges the cycle's entries into the new
-    blossom's, whose dual is 0, drops tight edges now inside it and
-    rebuilds only the lists of the cycle's neighbours, sharing every
-    other list with the previous view. No view is mutated once built,
-    which is what makes the sharing safe. The forest and the walk are
-    dropped after every mutation and regrown on demand.
+    id -> tight edges, plus `top`. One rule, `_tight_edges`, decides
+    tightness and rejects an overloaded edge; `_tight_view` applies it to
+    every edge. `__init__` builds the first view so, and `apply_dual_update`
+    validates every update so, on the view ids left after the blossoms it
+    expands, except a uniform step 0 < a <= alpha that `compute_alpha`
+    proved for this forest and that expands nothing. That step patches the
+    view (`_stepped_view`): the tight edges whose load falls leave, and the
+    rule is applied only to the edges whose bound tied alpha. `augment`
+    keeps the view (blossoms and pi* do not change); `shrink_blossom`
+    merges the cycle's entries into the new blossom's, whose dual is 0,
+    drops tight edges now inside it and rebuilds only the lists of the
+    cycle's neighbours. A patch or a shrink shares every other list with
+    the previous view; no view is mutated once built, which is what makes
+    the sharing safe. The forest, the walk and the alpha proof are dropped
+    after every mutation; the forest and walk are regrown on demand.
   * A view node's id is the smallest original node it contains. Each
     blossom record computes this id once, as its `key`; the view's `top`
     maps every original node to the id of its maximal set, and every
@@ -452,16 +456,20 @@ class EngineState:
         self.mates: dict[int, tuple[int, int]] = {}
         self._forest: ForestLabels | None = None
         self._walk: AlternatingWalk | None = None
+        # compute_alpha's proof for the current forest: (forest, bound in
+        # units of 1/(2 * scale), that scale, the edges whose bound ties it).
+        self._proof: tuple | None = None
         nodes = range(inst.node_count)
         self._view = _tight_view(self, list(nodes), nodes, self._pi_star)
 
     # -- caching ------------------------------------------------------------
 
     def _invalidate(self, view: ShrunkenView) -> None:
-        """Drop the forest and the walk; `view` replaces the shrunken view."""
+        """Drop the forest, walk and alpha proof; `view` is the new view."""
         self._view = view
         self._forest = None
         self._walk = None
+        self._proof = None
 
     # -- dual arithmetic ----------------------------------------------------
 
@@ -647,14 +655,14 @@ def _lifted(state: EngineState) -> set[int]:
     return edges
 
 
-def _tight_view(state: EngineState, top: list[int], keys: Iterable[int],
-                pi_star: list[int]) -> ShrunkenView:
-    """The view over `top` with view ids `keys`, ascending, at accumulated
-    duals `pi_star`: each id lists, in input order, its edges to other ids
-    whose load pi*(u) + pi*(v) equals their weight. Raises
-    InfeasibleUpdateError at the first such edge whose load exceeds it."""
-    incident: dict[int, list[tuple[int, int]]] = {k: [] for k in keys}
-    for i, ((u, v), w) in enumerate(zip(state._pairs, state._weights)):
+def _tight_edges(state: EngineState, top: list[int], pi_star: list[int],
+                 edges: Iterable[int]) -> Iterator[tuple[int, int, int]]:
+    """The tightness rule: (i, top[u], top[v]) for each edge i of `edges`
+    joining distinct view ids whose load pi*(u) + pi*(v) equals its weight.
+    Raises InfeasibleUpdateError at the first whose load exceeds it."""
+    pairs, weights = state._pairs, state._weights
+    for i in edges:
+        (u, v), w = pairs[i], weights[i]
         load = pi_star[u] + pi_star[v]
         if load < w:
             continue
@@ -664,9 +672,38 @@ def _tight_view(state: EngineState, top: list[int], keys: Iterable[int],
         if load > w:
             raise InfeasibleUpdateError("edge-slack", i, Fraction(load, state._scale),
                                         Fraction(w, state._scale), (u, v))
+        yield i, ku, kv
+
+
+def _tight_view(state: EngineState, top: list[int], keys: Iterable[int],
+                pi_star: list[int]) -> ShrunkenView:
+    """The view over `top` with view ids `keys`, ascending, at accumulated
+    duals `pi_star`: each id lists its `_tight_edges` in input order."""
+    incident: dict[int, list[tuple[int, int]]] = {k: [] for k in keys}
+    for i, ku, kv in _tight_edges(state, top, pi_star, range(len(state._pairs))):
         incident[ku].append((i, kv))
         incident[kv].append((i, ku))
     return ShrunkenView(top, incident)
+
+
+def _stepped_view(state: EngineState, label: dict[int, int], pi_star: list[int],
+                  ties: list[int]) -> ShrunkenView:
+    """The view after a uniform step 0 < a <= alpha of the forest `label`
+    that expands no blossom, patched from the current one. No load that
+    grows (rate sum r > 0) passes its weight, and only edges whose bound
+    tied alpha (`ties`) can reach it: the rule decides which join. Loads
+    at r = 0 stay; at r < 0 they fall, so tight edges with an S end and no
+    T end leave. Touched lists are fresh; every other list is shared."""
+    view = state._view
+    old, incident = view.incident, dict(view.incident)
+    falling = {k for s, rate in label.items() if rate == LABEL_S
+               for _, x in old[s] if label.get(x) != LABEL_T for k in (s, x)}
+    for k in falling:
+        incident[k] = [(i, x) for i, x in old[k] if label.get(k, 0) + label.get(x, 0) >= 0]
+    for i, ku, kv in _tight_edges(state, view.top, pi_star, ties):
+        incident[ku] = sorted([*incident[ku], (i, kv)])
+        incident[kv] = sorted([*incident[kv], (i, ku)])
+    return ShrunkenView(view.top, incident)
 
 
 def lift_matching(state: EngineState) -> Matching:
@@ -755,8 +792,13 @@ def compute_alpha(state: EngineState) -> AlphaResult:
     units of 1/(2 * scale), where (b) is the integer 2 * slack // r; of
     equal bounds the first offered, in the order above and edges in input
     order, binds.
+
+    The scan leaves a proof on the state until its next mutation (the
+    forest, the bound and its scale, the edges whose bound ties it), by
+    which `apply_dual_update` patches the view for a step it covers.
     """
-    label = state._require_clean_forest().label
+    forest = state._require_clean_forest()
+    label = forest.label
     top = state.shrunken_view().top
     pi_star = state._pi_star
     rate = [label.get(k, 0) for k in top]
@@ -764,6 +806,7 @@ def compute_alpha(state: EngineState) -> AlphaResult:
 
     best: int | None = None
     binding: tuple | None = None
+    ties: list[int] = []  # the edges whose bound equals best
 
     for rec in state.blossoms:
         if label.get(rec.key) == LABEL_S:
@@ -775,11 +818,14 @@ def compute_alpha(state: EngineState) -> AlphaResult:
         r = rate[u] + rate[v]
         if r > 0 and top[u] != top[v]:
             bound = 2 * (w - pi_star[u] - pi_star[v]) // r
-            if best is None or bound < best:
-                best, binding = bound, (names[r], i)
+            if best is None or bound <= best:
+                if best is None or bound < best:
+                    best, binding, ties = bound, (names[r], i), []
+                ties.append(i)
 
     if best is None:
         return AlphaResult(None, None)
+    state._proof = (forest, best, state._scale, ties)
     return AlphaResult(Fraction(best, 2 * state._scale), binding)
 
 
@@ -793,11 +839,14 @@ def apply_dual_update(state: EngineState,
     get 0. The update is validated against the dual constraints before
     anything is written; an infeasible request raises InfeasibleUpdateError
     and leaves the duals untouched. Afterwards every maximal S-labeled
-    blossom whose dual reached 0 is deshrunken and removed. The edges are
-    validated by `_tight_view` on the view ids left after those
+    blossom whose dual reached 0 is deshrunken and removed. A uniform
+    amount 0 < a <= alpha that `compute_alpha` proved for this forest and
+    that expands no blossom patches the view (`_stepped_view`). Any other
+    update is validated by `_tight_view` on the view ids left after the
     expansions, so the same scan builds the next view.
     """
     labels = state._require_clean_forest()
+    ties = None  # compute_alpha's tie edges, when its proof covers the step
 
     if isinstance(amounts, Mapping):
         per_root = {k: as_rational(a) for k, a in amounts.items()}
@@ -809,7 +858,12 @@ def apply_dual_update(state: EngineState,
     else:
         value = as_rational(amounts)
         state._admit((value,))
-        units = dict.fromkeys(labels.roots, state._units(value))
+        unit = state._units(value)
+        units = dict.fromkeys(labels.roots, unit)
+        proof = state._proof
+        if proof is not None and proof[0] is labels and \
+                0 < 2 * unit * proof[2] <= proof[1] * state._scale:
+            ties = proof[3]
 
     delta = {k: rate * units.get(labels.root[k], 0) for k, rate in labels.label.items()}
 
@@ -836,13 +890,17 @@ def apply_dual_update(state: EngineState,
                 top[v] = key
         keys = [v for v, key in enumerate(top) if v == key]
 
-    # Validate the edges on the new pi*, where a maximal set's step moves
-    # every node inside it, building the next view. The duals are feasible
-    # before the update, so the first edge found overloaded is the first
-    # whose load grows past its weight. An edge inside an expanded blossom
-    # is never rejected: no set separating its ends moves.
+    # Unless alpha's proof covers the step, validate the edges on the new
+    # pi*, where a maximal set's step moves every node inside it, building
+    # the next view. The duals are feasible before the update, so the
+    # first edge found overloaded is the first whose load grows past its
+    # weight. An edge inside an expanded blossom is never rejected: no set
+    # separating its ends moves.
     pi_star = [p + delta.get(k, 0) for p, k in zip(state._pi_star, view.top)]
-    new_view = _tight_view(state, top, keys, pi_star)
+    if ties is not None and not expanded:
+        new_view = _stepped_view(state, labels.label, pi_star, ties)
+    else:
+        new_view = _tight_view(state, top, keys, pi_star)
 
     # Commit.
     state._pi_star = pi_star

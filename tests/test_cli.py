@@ -643,7 +643,13 @@ class TestCounterexampleCommand:
         assert data["uniform"][-1] == {"k": 4, "weight": "3"}
         assert data["scripted"][-1] == {"k": 4, "weight": "4"}
         assert data["oracle_minima"][4] == "3"
-        assert "divergence at k=4" in err
+        # The verifier names the broken condition: exposed node 8 with y < 0.
+        assert data["scripted_verdict"] == {"pass": False, "violations": [
+            {"constraint": "cs-exposed-zero-y:k=4", "witness": 8, "lhs": "-2", "rhs": "0"}]}
+        assert err == ("divergence at k=4: scripted weight 4 vs optimum 3\n"
+                       "scripted run: 1 violations\n"
+                       "first failure at k=4: cs-exposed-zero-y witness=8 lhs=-2 rhs=0\n"
+                       "per constraint: cs-exposed-zero-y 1\n")
 
     def test_uniform_equivalent_amounts(self, capsys):
         code, out, _ = run_cli(capsys, "counterexample", "--amounts", "1,1,1")
@@ -651,6 +657,7 @@ class TestCounterexampleCommand:
         data = json.loads(out)
         assert data["divergence"] is None
         assert data["scripted"][-1] == {"k": 4, "weight": "3"}
+        assert data["scripted_verdict"] == {"pass": True, "violations": []}
 
     def test_infeasible_amounts_reported_not_fatal(self, capsys):
         # An edge left overloaded, or more amounts than trees: the scripted
@@ -659,7 +666,7 @@ class TestCounterexampleCommand:
             code, out, err = run_cli(capsys, "counterexample", "--amounts", amounts)
             assert code == 0
             data = json.loads(out)
-            assert data["scripted"] is None
+            assert data["scripted"] is None and data["scripted_verdict"] is None
             assert data["scripted_error"]
             assert data["uniform"][-1] == {"k": 4, "weight": "3"}
             assert err == f"scripted run refused: {data['scripted_error']}\n"
@@ -826,6 +833,10 @@ class TestScenarioReport:
         report = compare_dual_policies(p4, [1])
         assert report.divergence is None
         assert report.scripted_error is None
+        # The weights stay optimal, yet moving one tree alone leaves an
+        # exposed node below the others' accumulated dual.
+        assert [v.constraint for v in report.scripted_verdict.violations] == \
+            ["cs-exposed-zero-y:k=1"]
         assert report.scripted[-1] == (2, 10)
         assert report.oracle_minima == (0, 1, 10)
 
@@ -838,7 +849,7 @@ class TestScenarioReport:
 
     def test_bad_amount_reported_as_scripted_error(self, p4):
         report = compare_dual_policies(p4, ["1/0"])
-        assert report.scripted is None
+        assert report.scripted is None and report.scripted_verdict is None
         assert report.scripted_error == "zero denominator in '1/0'"
         assert report.uniform[-1] == (2, 10)
 

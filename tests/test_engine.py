@@ -1,3 +1,4 @@
+import copy
 import inspect
 import random
 import sys
@@ -5,14 +6,15 @@ from fractions import Fraction
 
 import pytest
 
+from matchcert import engine
 from matchcert.engine import (AlphaResult, AlternatingWalk, EngineState,
                               EngineStateError, InfeasibleUpdateError, _Blossom,
                               _completion, apply_dual_update, compute_alpha,
                               lift_matching, shrink_blossom, solve)
 from matchcert.graph import Instance, Matching, alternating_path_difference
 from matchcert.oracle import min_weight_by_cardinality
-from util import (advance_to_dual_phase, checked_steps, edge_load,
-                  random_instance, reference_view)
+from util import (advance_to_dual_phase, assert_view_form, checked_steps,
+                  edge_load, random_instance, reference_view)
 
 HALF = Fraction(1, 2)
 
@@ -23,14 +25,16 @@ def observable(state: EngineState) -> tuple:
     return dict(state.mates), state.pi_node, state.shrunken_view()
 
 
-def rejected_unchanged(state: EngineState, call, message: str) -> None:
-    """`call()` raises ValueError with `message` and changes no observable."""
+def rejected_unchanged(state: EngineState, call, message: str) -> ValueError:
+    """`call()` raises ValueError with `message` and changes no observable;
+    returns the error."""
     before = observable(state)
     with pytest.raises(ValueError) as err:
         call()
     assert str(err.value) == message
     assert observable(state) == before
     assert state.shrunken_view() is before[2]
+    return err.value
 
 
 def edge_slack(state: EngineState, edge_index: int) -> Fraction:
@@ -530,3 +534,136 @@ class TestCarriedView:
         with pytest.raises(InfeasibleUpdateError):
             apply_dual_update(state, 1000)
         assert state.shrunken_view() == reference_view(state)
+
+
+@pytest.fixture
+def scans(monkeypatch) -> list:
+    """The calls of the full edge scan, `engine._tight_view`, as they come."""
+    calls = []
+    scan = engine._tight_view
+    monkeypatch.setattr(engine, "_tight_view",
+                        lambda *args: calls.append(args) or scan(*args))
+    return calls
+
+
+def step_checked(state: EngineState, amounts) -> bool:
+    """Apply one dual update and check the view it leaves against
+    `reference_view`, in `assert_view_form`'s order, with the previous view
+    unchanged. True when the update expanded a blossom."""
+    before, blossoms = state.shrunken_view(), set(state.blossoms)
+    frozen = copy.deepcopy(before)
+    apply_dual_update(state, amounts)
+    assert state.shrunken_view() == reference_view(state)
+    assert_view_form(state.shrunken_view())
+    assert before == frozen
+    return set(state.blossoms) != blossoms
+
+
+class TestPatchedDualStep:
+    """A uniform step of at most alpha, proved by `compute_alpha` on the
+    current forest, patches the view; every other update scans all edges."""
+
+    @pytest.mark.parametrize("seed", [1, 7])
+    def test_alpha_and_half_alpha_steps(self, scans, seed):
+        # Every other dual phase steps alpha / 2 before the alpha after it.
+        state, steps, expansions = EngineState(sparse_instance(seed)), [], 0
+        while True:
+            advance_to_dual_phase(state)
+            alpha = compute_alpha(state).alpha
+            if alpha is None:
+                break
+            amount = alpha / 2 if len(steps) % 2 == 0 else alpha
+            expansions += step_checked(state, amount)
+            steps.append(amount == alpha)
+        assert len(scans) == 1 + expansions
+        assert steps.count(True) > 20 and steps.count(False) > 20
+        assert expansions > 0 or seed == 1
+
+    def test_odd_bound_doubles_the_scale(self, scans):
+        inst = Instance.from_edges(4, [(0, 1, 1), (1, 2, 5), (2, 3, 5)])
+        state = EngineState(inst)
+        state.grow_forest()
+        step_checked(state, {0: HALF})  # a per-tree map scans all edges
+        result = compute_alpha(state)
+        # Edge 0's slack 1/2 bounds alpha by 1 in units of 1/(2 * scale).
+        assert result == AlphaResult(Fraction(1, 4), ("edge-t-t", 0))
+        scale = state._scale
+        step_checked(state, result.alpha)
+        assert state._scale == 2 * scale
+        assert len(scans) == 2
+        assert state.shrunken_view().incident[0] == [(0, 1)]
+
+    def test_amount_above_alpha_still_names_the_first_overloaded_edge(self, p4, scans):
+        state = EngineState(p4)
+        assert compute_alpha(state).alpha == HALF
+        err = rejected_unchanged(state, lambda: apply_dual_update(state, 1),
+                                 "edge-slack: witness=[2, 3] lhs=2 rhs=1")
+        assert isinstance(err, InfeasibleUpdateError)
+        assert (err.constraint, err.witness, err.lhs, err.rhs) == ("edge-slack", 1, 2, 1)
+        assert len(scans) == 2
+
+    def test_overloading_map_still_names_the_first_overloaded_edge(self, fig2, scans):
+        state = EngineState(fig2)
+        advance_to_dual_phase(state)
+        assert compute_alpha(state).alpha == Fraction(3, 2)
+        for amounts in ({6: 10}, {6: 10, 7: 0, 8: Fraction(1, 3)}):
+            err = rejected_unchanged(state, lambda: apply_dual_update(state, amounts),
+                                     "edge-slack: witness=[1, 2] lhs=10 rhs=3")
+            assert isinstance(err, InfeasibleUpdateError)
+            assert (err.constraint, err.witness, err.lhs, err.rhs) == ("edge-slack", 6, 10, 3)
+        assert len(scans) == 3
+
+    def test_refused_update_keeps_the_proof(self, fig2, scans):
+        state = EngineState(fig2)
+        advance_to_dual_phase(state)
+        alpha = compute_alpha(state).alpha
+        scale = state._scale
+        # Refused after the scale grew for the fifths: the proof's bound
+        # is still compared at the scale it was found in.
+        with pytest.raises(InfeasibleUpdateError):
+            apply_dual_update(state, alpha + Fraction(1, 5))
+        assert state._scale == 5 * scale
+        with pytest.raises(InfeasibleUpdateError):
+            apply_dual_update(state, {6: 10})
+        assert len(scans) == 3
+        step_checked(state, alpha)
+        assert len(scans) == 3
+
+    def test_proof_ends_at_the_next_mutation(self, p4, scans):
+        state = EngineState(p4)
+        assert compute_alpha(state).alpha == HALF
+        step_checked(state, HALF / 2)
+        # alpha is now 1/4; the first proof would have covered 1/2.
+        rejected_unchanged(state, lambda: apply_dual_update(state, HALF),
+                           "edge-slack: witness=[2, 3] lhs=3/2 rhs=1")
+        assert len(scans) == 2
+
+    def test_expanding_step_scans_all_edges(self, c5_two_tails, scans):
+        state, expansions = EngineState(c5_two_tails), 0
+        while True:
+            advance_to_dual_phase(state)
+            result = compute_alpha(state)
+            if result.alpha is None:
+                break
+            expanded = step_checked(state, result.alpha)
+            assert expanded == (result.binding[0] == "blossom-nonneg")
+            expansions += expanded
+        assert expansions == 1 and len(scans) == 2
+
+    @pytest.mark.parametrize("phases", [(), ((0,), (1, 0))])
+    def test_solve_scans_all_edges_only_when_it_must(self, scans, monkeypatch, phases):
+        # No output shows which path an update took; a proof that went
+        # stale would cost the gain and pass every other test.
+        full = []
+        apply = engine.apply_dual_update
+
+        def counted(state, amounts):
+            blossoms = set(state.blossoms)
+            apply(state, amounts)
+            full.append(isinstance(amounts, dict) or set(state.blossoms) != blossoms)
+            return state
+
+        monkeypatch.setattr(engine, "apply_dual_update", counted)
+        solve(sparse_instance(7), phases=phases)
+        assert len(scans) == 1 + sum(full)
+        assert sum(full) == 4 + len(phases) and len(full) > 60

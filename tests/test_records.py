@@ -70,8 +70,8 @@ def _samples():
         (oracle.OracleTable, ((record,),), {"by_cardinality": ()}, ()),
         (reductions.AuxiliaryCompletion, (inst, m, duals, (1,)),
          {"exposed_nodes": ()}, ()),
-        (cli.ScenarioReport, (((0, ZERO),), None, "infeasible", (ZERO,), None),
-         {"divergence": 0}, ()),
+        (cli.ScenarioReport, (((0, ZERO),), None, "infeasible", (ZERO,), None, None),
+         {"scripted_verdict": certificates.Verdict(())}, ()),
     ]
 
 
