@@ -11,14 +11,15 @@ whose dual constrains, for every edge e = {u, v},
     y_u + y_v + sum_{U : e inside U} z_U + gamma  <=  w_e,
     y <= 0,  z <= 0.
 
-The builder (`engine.transform_duals`, cached as `Snapshot.certificate`)
-shares no arithmetic with the checker. Dual feasibility plus
-complementary slackness against a matching of size k proves, by weak LP
-duality, that it is minimum-weight among those. The checks compare ints
-at the lcm of the duals' and weights' scales (`Instance.scaled_weights`,
-computed once per instance; an auxiliary completion carries the original
-instance's over) and report violations as Fractions in original units; a
-run's checker recomputes only changed edges.
+This module holds a certificate's record (`CardinalityCertificate`), its
+formula (`transform_duals`, cached as `engine.Snapshot.certificate`) and
+its check, and imports only `graph`. The builder shares no arithmetic with
+the checker. Dual feasibility plus complementary slackness against a
+matching of size k proves, by weak LP duality, that it is minimum-weight
+among those. The checks compare ints at the lcm of the duals' and weights'
+scales (`Instance.scaled_weights`; an auxiliary completion carries the
+original instance's over) and report violations as Fractions in original
+units; a run's checker recomputes only changed edges.
 
 This is the package's one feasibility checker: the auxiliary perfect
 completion (`reductions.check_perfect_certificate`) is checked by it too,
@@ -29,19 +30,96 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain, compress, count, repeat
 from math import lcm
 from operator import ne
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
-# transform_duals is re-exported only for perfbench/tracing.py, the one
-# module that still imports it from here; the package and its tests
-# import it from engine.
-from .engine import (STATUS_PERFECT, CardinalityCertificate, RunResult,
-                     transform_duals)
-from .graph import Instance, Matching, alternating_path_difference
+from .graph import Instance, Matching, alternating_path_difference, reduced, scaled
+
+if TYPE_CHECKING:
+    from .engine import DualState, RunResult
 
 ZERO = Fraction(0)
+STATUS_PERFECT = "perfect-found"
+STATUS_NO_PERFECT = "no-perfect-matching"
+
+
+def accumulated_pi(base: Iterable, sets: Iterable) -> list:
+    """Accumulated dual pi*(v) of every node: its base value plus the pi of
+    each given set (anything with `nodes` and `pi`) that contains it.
+    Works alike on ints of one scale and on Fractions."""
+    acc = list(base)
+    for s in sets:
+        pi = s.pi
+        if pi:
+            for v in s.nodes:
+                acc[v] += pi
+    return acc
+
+
+class CardinalityCertificate(namedtuple("CardinalityCertificate",
+                                        "scale gamma_units y_units z_units k")):
+    """A dual solution (gamma, y, z) claiming optimality at cardinality k.
+
+    Like `DualState`, it holds ints in units of 1/scale, at the smallest
+    such scale: `gamma_units`, `y_units[v]`, and `z_units`, which is
+    sparse (sets absent from it have value 0). `gamma`, `y` and `z` are
+    read-only Fraction views, built on first access; `from_fractions`
+    builds a certificate from Fractions.
+    """
+
+    scale: int
+    gamma_units: int
+    y_units: tuple[int, ...]
+    z_units: tuple[tuple[frozenset[int], int], ...]
+    k: int
+
+    @classmethod
+    def from_fractions(cls, gamma: Fraction, y: Iterable[Fraction],
+                       z: Iterable[tuple[frozenset[int], Fraction]],
+                       k: int) -> "CardinalityCertificate":
+        """The certificate of these Fraction values, in their int form
+        (`scaled`)."""
+        y, z = tuple(y), tuple(z)
+        n = len(y)
+        scale, ints = scaled((gamma, *y, *(zu for _, zu in z)))
+        return cls(scale, ints[0], ints[1:n + 1],
+                   tuple((nodes, zu) for (nodes, _), zu in zip(z, ints[n + 1:])),
+                   k)
+
+    @cached_property
+    def gamma(self) -> Fraction:
+        return Fraction(self.gamma_units, self.scale)
+
+    @cached_property
+    def y(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(p, self.scale) for p in self.y_units)
+
+    @cached_property
+    def z(self) -> tuple[tuple[frozenset[int], Fraction], ...]:
+        return tuple((nodes, Fraction(zu, self.scale))
+                     for nodes, zu in self.z_units)
+
+
+def transform_duals(dual: DualState, k: int) -> CardinalityCertificate:
+    """Build the cardinality-k certificate from frozen duals.
+
+    gamma = 2 * pi_star_max, y_v = pi_star(v) - pi_star_max, and
+    z_U = -2 pi(U) on every blossom of the family. y <= 0 and z <= 0 hold
+    by construction (blossom duals are nonnegative).
+
+    Everything is computed on the duals' ints, in their scale, and the
+    result is brought to its own smallest scale (`reduced`).
+    """
+    pi_star = accumulated_pi(dual.pi_units, dual.blossom_units)
+    top, n = max(pi_star), len(pi_star)
+    scale, ints = reduced(dual.scale, (2 * top, *(p - top for p in pi_star),
+                                       *(-2 * b.pi for b in dual.blossom_units)))
+    return CardinalityCertificate(
+        scale, ints[0], ints[1:n + 1],
+        tuple((b.nodes, zu) for b, zu in zip(dual.blossom_units, ints[n + 1:])), k)
 
 
 class Violation(namedtuple("Violation", "constraint witness lhs rhs")):

@@ -8,11 +8,10 @@ walk is not a path) with dual steps (shift the duals of the alternating
 forest's S- and T-nodes, uniformly or by scripted per-tree amounts).
 
 Every augmentation is recorded as a Snapshot: the fully deshrunken
-matching plus a frozen copy of the duals. Those frozen duals are exactly
-what the certificate checker needs to prove each snapshot minimum-weight
-among matchings of its cardinality. The certificate itself is built here
-too, by `transform_duals` on top of `accumulated_pi`, once per snapshot
-(`Snapshot.certificate`); `matchcert.certificates` checks it.
+matching plus a frozen copy of the duals, from which `Snapshot.certificate`
+builds, once, the certificate proving it minimum-weight among matchings of
+its cardinality. This module is the solver and its run records;
+`matchcert.certificates` holds a certificate's record, formula and check.
 
 Design notes:
 
@@ -50,8 +49,8 @@ Design notes:
     `apply_dual_update`) that is not a multiple of 1/D first multiplies D
     by the missing factor, rescaling every stored int. A snapshot's
     `DualState` and its `CardinalityCertificate` keep that form: a scale
-    plus int numerators, reduced to the smallest scale (`_reduced`), so
-    equal duals are equal whatever D was; Fractions enter the form
+    plus int numerators, reduced to the smallest scale (`graph.reduced`),
+    so equal duals are equal whatever D was; Fractions enter the form
     through `graph.scaled`, as the instance's weights do. Values cross
     the API boundary as exact Fractions in original units: `pi_node`,
     `AlphaResult.alpha`, `InfeasibleUpdateError`, `Snapshot.weight`, and
@@ -77,15 +76,14 @@ from functools import cached_property
 from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
-from .graph import Instance, Matching, RationalInput, as_rational, scaled
+from .certificates import (STATUS_NO_PERFECT, STATUS_PERFECT, CardinalityCertificate,
+                           transform_duals)
+from .graph import Instance, Matching, RationalInput, as_rational, reduced, scaled
 
 ZERO = Fraction(0)
 
 LABEL_T = 1  # a forest label is its set's rate in a dual step
 LABEL_S = -1
-
-STATUS_PERFECT = "perfect-found"
-STATUS_NO_PERFECT = "no-perfect-matching"
 
 Pair = tuple[int, int]
 
@@ -114,13 +112,6 @@ class InfeasibleUpdateError(ValueError):
 
 # ---------------------------------------------------------------------------
 # Frozen dual state, snapshots, run results
-
-
-def _reduced(scale: int, ints: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-    """An int form at its smallest scale: scale and ints divided by their
-    gcd, and the very same tuple when that gcd is 1."""
-    g = gcd(scale, *ints)
-    return (scale, ints) if g == 1 else (scale // g, tuple(p // g for p in ints))
 
 
 class BlossomDual(namedtuple("BlossomDual", "nodes pi")):
@@ -175,82 +166,6 @@ class DualState(namedtuple("DualState", "scale pi_units blossom_units beta", def
     def blossoms(self) -> tuple[BlossomDual, ...]:
         return tuple(BlossomDual(b.nodes, Fraction(b.pi, self.scale))
                      for b in self.blossom_units)
-
-
-def accumulated_pi(base: Iterable, sets: Iterable) -> list:
-    """Accumulated dual pi*(v) of every node: its base value plus the pi of
-    each given set (anything with `nodes` and `pi`) that contains it.
-    Works alike on ints of one scale and on Fractions."""
-    acc = list(base)
-    for s in sets:
-        pi = s.pi
-        if pi:
-            for v in s.nodes:
-                acc[v] += pi
-    return acc
-
-
-class CardinalityCertificate(namedtuple("CardinalityCertificate",
-                                        "scale gamma_units y_units z_units k")):
-    """A dual solution (gamma, y, z) claiming optimality at cardinality k.
-
-    Like `DualState`, it holds ints in units of 1/scale, at the smallest
-    such scale: `gamma_units`, `y_units[v]`, and `z_units`, which is
-    sparse (sets absent from it have value 0). `gamma`, `y` and `z` are
-    read-only Fraction views, built on first access; `from_fractions`
-    builds a certificate from Fractions.
-    """
-
-    scale: int
-    gamma_units: int
-    y_units: tuple[int, ...]
-    z_units: tuple[tuple[frozenset[int], int], ...]
-    k: int
-
-    @classmethod
-    def from_fractions(cls, gamma: Fraction, y: Iterable[Fraction],
-                       z: Iterable[tuple[frozenset[int], Fraction]],
-                       k: int) -> "CardinalityCertificate":
-        """The certificate of these Fraction values, in their int form
-        (`scaled`)."""
-        y, z = tuple(y), tuple(z)
-        n = len(y)
-        scale, ints = scaled((gamma, *y, *(zu for _, zu in z)))
-        return cls(scale, ints[0], ints[1:n + 1],
-                   tuple((nodes, zu) for (nodes, _), zu in zip(z, ints[n + 1:])),
-                   k)
-
-    @cached_property
-    def gamma(self) -> Fraction:
-        return Fraction(self.gamma_units, self.scale)
-
-    @cached_property
-    def y(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(p, self.scale) for p in self.y_units)
-
-    @cached_property
-    def z(self) -> tuple[tuple[frozenset[int], Fraction], ...]:
-        return tuple((nodes, Fraction(zu, self.scale))
-                     for nodes, zu in self.z_units)
-
-
-def transform_duals(dual: DualState, k: int) -> CardinalityCertificate:
-    """Build the cardinality-k certificate from frozen duals.
-
-    gamma = 2 * pi_star_max, y_v = pi_star(v) - pi_star_max, and
-    z_U = -2 pi(U) on every blossom of the family. y <= 0 and z <= 0 hold
-    by construction (blossom duals are nonnegative).
-
-    Everything is computed on the duals' ints, in their scale, and the
-    result is brought to its own smallest scale (`_reduced`).
-    """
-    pi_star = accumulated_pi(dual.pi_units, dual.blossom_units)
-    top, n = max(pi_star), len(pi_star)
-    scale, ints = _reduced(dual.scale, (2 * top, *(p - top for p in pi_star),
-                                        *(-2 * b.pi for b in dual.blossom_units)))
-    return CardinalityCertificate(
-        scale, ints[0], ints[1:n + 1],
-        tuple((b.nodes, zu) for b, zu in zip(dual.blossom_units, ints[n + 1:])), k)
 
 
 class Snapshot(namedtuple("Snapshot", "cardinality matching dual_state weight")):
@@ -626,10 +541,10 @@ class EngineState:
     # -- snapshots ------------------------------------------------------------
 
     def frozen_duals(self) -> DualState:
-        """The engine's own ints at their smallest scale (`_reduced`)."""
+        """The engine's own ints at their smallest scale (`reduced`)."""
         records = sorted(self._records(), key=lambda r: (r.key, len(r.nodes)))
         n = len(self._pi)
-        scale, ints = _reduced(self._scale, (*self._pi, *(r.pi for r in records)))
+        scale, ints = reduced(self._scale, (*self._pi, *(r.pi for r in records)))
         return DualState(scale, ints[:n],
                          tuple(BlossomDual(r.nodes, p) for r, p in zip(records, ints[n:])),
                          self.beta)

@@ -16,7 +16,7 @@ import sys
 from collections import defaultdict, namedtuple
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 from typing import IO, Iterable, Union
 
 RationalInput = Union[int, str, Fraction]
@@ -68,6 +68,13 @@ def scaled(values: Iterable[Fraction]) -> tuple[int, tuple[int, ...]]:
     values = tuple(values)
     scale = lcm(*{q.denominator for q in values})
     return scale, tuple(q.numerator * (scale // q.denominator) for q in values)
+
+
+def reduced(scale: int, ints: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """An int form at its smallest scale: scale and ints divided by their
+    gcd, and the very same tuple when that gcd is 1."""
+    g = gcd(scale, *ints)
+    return (scale, ints) if g == 1 else (scale // g, tuple(p // g for p in ints))
 
 
 class Edge(namedtuple("Edge", "u v weight")):

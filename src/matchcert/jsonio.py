@@ -33,9 +33,8 @@ from json.encoder import encode_basestring_ascii
 from math import lcm
 from typing import Any, Callable
 
-from .certificates import Verdict
-from .engine import (STATUS_NO_PERFECT, STATUS_PERFECT, BlossomDual, DualState,
-                     RunResult, Snapshot)
+from .certificates import STATUS_NO_PERFECT, STATUS_PERFECT, Verdict
+from .engine import BlossomDual, DualState, RunResult, Snapshot
 from .graph import Matching, parse_rational
 from .oracle import OracleTable
 

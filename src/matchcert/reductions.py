@@ -30,8 +30,9 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .certificates import Verdict, check_cardinality_certificate
-from .engine import DualState, Snapshot, accumulated_pi, transform_duals
+from .certificates import (Verdict, accumulated_pi, check_cardinality_certificate,
+                           transform_duals)
+from .engine import DualState, Snapshot
 from .graph import Edge, Instance, Matching
 
 ZERO = Fraction(0)

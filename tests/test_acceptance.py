@@ -40,10 +40,10 @@ from fractions import Fraction
 import pytest
 
 from matchcert import jsonio
-from matchcert.certificates import check_cardinality_certificate, verify_run
+from matchcert.certificates import (accumulated_pi, check_cardinality_certificate,
+                                    transform_duals, verify_run)
 from matchcert.cli import compare_dual_policies, figure2_instance, main
-from matchcert.engine import (RunResult, accumulated_pi, lift_matching, solve,
-                              transform_duals)
+from matchcert.engine import RunResult, lift_matching, solve
 from matchcert.graph import (Instance, Matching, alternating_path_difference,
                              format_instance, matching_weight, normalize_weights)
 from matchcert.oracle import OracleTable, min_weight_by_cardinality
@@ -210,6 +210,14 @@ def test_criterion_6_counterexample_golden():
     assert scenario.divergence == 4
     report("criterion 6 (scripted counterexample golden values)",
            f"uniform 3 vs scripted 4 at k=4, {time.perf_counter() - start:.2f}s")
+
+
+def test_gamma_never_decreases_along_a_run(suite):
+    # A bracket gamma_k <= shift <= gamma_{k+1} on the unconstrained
+    # optimum rests on gamma being nondecreasing in k.
+    for rec in suite:
+        gammas = [snap.certificate.gamma for snap in rec.run.snapshots]
+        assert gammas == sorted(gammas), f"instance {rec.raw}: gammas {gammas}"
 
 
 def test_criterion_7_auxiliary_completion_agrees(suite):

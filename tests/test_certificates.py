@@ -3,10 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from matchcert.certificates import check_cardinality_certificate, verify_run
-from matchcert.engine import (STATUS_NO_PERFECT, STATUS_PERFECT, BlossomDual,
-                              CardinalityCertificate, DualState, accumulated_pi,
-                              lift_matching, solve, transform_duals)
+from matchcert.certificates import (STATUS_NO_PERFECT, STATUS_PERFECT,
+                                    CardinalityCertificate, accumulated_pi,
+                                    check_cardinality_certificate, transform_duals,
+                                    verify_run)
+from matchcert.engine import BlossomDual, DualState, lift_matching, solve
 from matchcert.graph import Instance, Matching
 from matchcert.oracle import min_weight_by_cardinality
 from matchcert.reductions import (AuxiliaryCompletion, build_auxiliary_completion,

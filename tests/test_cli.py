@@ -208,7 +208,7 @@ class TestSolveCommand:
         # The emitted certificate block and the check share one build.
         from matchcert import certificates, engine
         built = []
-        transform = engine.transform_duals
+        transform = certificates.transform_duals
         for module in (engine, certificates):
             monkeypatch.setattr(module, "transform_duals",
                                 lambda dual, k: built.append(k) or transform(dual, k))

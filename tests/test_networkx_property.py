@@ -9,7 +9,8 @@ oracle cannot reach: snapshot k's matching maximizes lambda * |M| - w(M)
 over all matchings at lambda = gamma of its certificate. On graphs of up
 to 40 nodes with negative weights it checks the unconstrained optimum,
 and the doubled graph's perfect optimum against it. It checks the theorem
-too on runs whose every dual phase is split into two uniform steps.
+too on runs whose every dual phase is split into two uniform steps, and
+that gamma never decreases along a run.
 
 Hypothesis and networkx are test-only; the module is skipped without them.
 """
@@ -94,6 +95,16 @@ def test_every_snapshot_maximizes_its_lagrangian(inst):
     for snap in solve(inst).snapshots:
         lam = snap.certificate.gamma
         assert lagrangian_value(inst, lam) == lam * snap.cardinality - snap.weight
+
+
+@hypothesis.settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@hypothesis.given(st.one_of(sparse_instances(), sparse_instances(max_nodes=40, signed=True)))
+def test_gamma_never_decreases_along_a_run(inst):
+    """Snapshot k's gamma is nondecreasing in k, on normalized weights: a
+    bracket gamma_k <= shift <= gamma_{k+1} on the unconstrained optimum
+    rests on it."""
+    gammas = [snap.certificate.gamma for snap in solve(normalize_weights(inst)[0]).snapshots]
+    assert gammas == sorted(gammas)
 
 
 @pytest.mark.parametrize("r", [Fraction(1, 3), Fraction(1, 2), Fraction(2, 3)],

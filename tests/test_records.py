@@ -13,9 +13,9 @@ import pytest
 
 import matchcert
 from matchcert import certificates, cli, engine, graph, jsonio, oracle, reductions
-from matchcert.engine import (STATUS_PERFECT, AlphaResult, AlternatingWalk, BlossomDual,
-                              CardinalityCertificate, DualState, ForestLabels, RunResult,
-                              ShrunkenView, Snapshot)
+from matchcert.certificates import STATUS_PERFECT, CardinalityCertificate
+from matchcert.engine import (AlphaResult, AlternatingWalk, BlossomDual, DualState,
+                              ForestLabels, RunResult, ShrunkenView, Snapshot)
 from matchcert.graph import (Edge, Instance, Matching, NormalizationRecord,
                              SymmetricDifference)
 

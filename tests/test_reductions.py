@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from matchcert.engine import BlossomDual, DualState, accumulated_pi, solve
+from matchcert.certificates import accumulated_pi
+from matchcert.engine import BlossomDual, DualState, solve
 from matchcert.graph import Instance, Matching, matching_weight
 from matchcert.oracle import min_weight_by_cardinality
 from matchcert.reductions import (build_auxiliary_completion,

@@ -14,10 +14,9 @@ from fractions import Fraction
 import pytest
 
 from matchcert import jsonio
-from matchcert.certificates import verify_run
+from matchcert.certificates import accumulated_pi, verify_run
 from matchcert.engine import (EngineState, InfeasibleUpdateError,
-                              accumulated_pi, apply_dual_update, compute_alpha,
-                              solve)
+                              apply_dual_update, compute_alpha, solve)
 from matchcert.graph import Instance, format_instance
 from matchcert.oracle import min_weight_by_cardinality
 from matchcert.reductions import build_auxiliary_completion

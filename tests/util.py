@@ -12,13 +12,13 @@ from fractions import Fraction
 from itertools import combinations
 from math import lcm
 
-from matchcert.certificates import Verdict, Violation, _family_violations, verify_run
-from matchcert.engine import (LABEL_S, LABEL_T, STATUS_NO_PERFECT,
-                              STATUS_PERFECT, AlphaResult, BlossomDual,
-                              CardinalityCertificate, DualState, EngineState,
-                              InfeasibleUpdateError, RunResult, ShrunkenView,
-                              apply_dual_update, compute_alpha, lift_matching,
-                              shrink_blossom, solve)
+from matchcert.certificates import (STATUS_NO_PERFECT, STATUS_PERFECT,
+                                    CardinalityCertificate, Verdict, Violation,
+                                    _family_violations, verify_run)
+from matchcert.engine import (LABEL_S, LABEL_T, AlphaResult, BlossomDual, DualState,
+                              EngineState, InfeasibleUpdateError, RunResult,
+                              ShrunkenView, apply_dual_update, compute_alpha,
+                              lift_matching, shrink_blossom, solve)
 from matchcert.graph import (Instance, Matching, SymmetricDifference,
                              alternating_path_difference, matching_weight,
                              normalize_weights)
